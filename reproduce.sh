@@ -82,6 +82,10 @@ cmake --build build-bench --target bench_solver_comparison \
 # family); exits nonzero if the two arms' result fingerprints disagree.
 ./build-bench/bench/bench_incremental --deltas 64 --family large \
   --json BENCH_incremental.json
+# The repository benchmark's self-test (perfbench/README.md): builds its own
+# Release tree and smoke-runs every workload, checking metric names, units
+# and repeatable counters against BENCHMARK.json.
+python3 perfbench/selftest.py
 
 # Sanitizer pass: rebuild everything with AddressSanitizer + UBSan and re-run
 # the test suite. Memory errors in the runtime substrate (thread pool, shared
@@ -92,13 +96,22 @@ if [ "${DELPROP_SKIP_SANITIZE:-0}" != "1" ]; then
   ctest --test-dir build-asan --output-on-failure 2>&1 \
     | tee test_output_asan.txt
 
-  # ThreadSanitizer pass over the concurrent substrate: the runtime tests
-  # plus the multi-threaded solver-comparison bench. A data race in the
-  # thread pool or the shared index cache fails this step even though the
-  # plain build is green.
+  # ThreadSanitizer pass over the concurrent substrate: the runtime tests,
+  # the batch engine's tests (its ApplyDelta handoff mutates the instance
+  # its worker replicas share) plus the multi-threaded solver-comparison
+  # bench. A data race in the thread pool, the shared index cache or the
+  # replica handoff fails this step even though the plain build is green.
   cmake -B build-tsan -G Ninja -DDELPROP_SANITIZE=thread
-  cmake --build build-tsan --target runtime_test bench_solver_comparison
-  ./build-tsan/tests/runtime_test 2>&1 | tee test_output_tsan.txt
+  cmake --build build-tsan --target runtime_test engine_test \
+    engine_determinism_test bench_solver_comparison
+  # Each binary's own exit status decides (a pipe into tee would hide it).
+  : > test_output_tsan.txt
+  for t in runtime_test engine_test engine_determinism_test; do
+    "./build-tsan/tests/$t" >> test_output_tsan.txt 2>&1 || {
+      echo "ThreadSanitizer run failed: $t (see test_output_tsan.txt)" >&2
+      exit 1
+    }
+  done
   ./build-tsan/bench/bench_solver_comparison --threads 4 2>&1 \
     | tee -a test_output_tsan.txt
 fi

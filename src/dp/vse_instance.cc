@@ -4,6 +4,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "common/hash.h"
 #include "plan/compiled_instance.h"
 #include "query/query_properties.h"
 
@@ -278,7 +279,8 @@ Status VseInstance::ValidateDelta(const Database& database,
   const Schema& schema = database.schema();
   // Inserts: arity and key uniqueness, against both the stored rows and the
   // earlier inserts of this same delta.
-  std::vector<std::vector<Tuple>> batch_keys(schema.relation_count());
+  std::vector<std::unordered_set<Tuple, VectorHash<ValueId>>> batch_keys(
+      schema.relation_count());
   for (size_t i = 0; i < delta.inserts.size(); ++i) {
     const BaseInsert& insert = delta.inserts[i];
     std::string who = "delta insert " + std::to_string(i);
@@ -309,15 +311,12 @@ Status VseInstance::ValidateDelta(const Database& database,
                                      " of relation '" + relation_schema.name +
                                      "'" + masked);
     }
-    for (const Tuple& prior : batch_keys[insert.relation]) {
-      if (prior == key) {
-        return Status::InvalidArgument(
-            who + " repeats the key of an earlier insert in the same delta "
-                  "for relation '" +
-            relation_schema.name + "'");
-      }
+    if (!batch_keys[insert.relation].insert(std::move(key)).second) {
+      return Status::InvalidArgument(
+          who + " repeats the key of an earlier insert in the same delta "
+                "for relation '" +
+          relation_schema.name + "'");
     }
-    batch_keys[insert.relation].push_back(std::move(key));
   }
   // Deletes: must name existing, still-live rows of the pre-delta database
   // (a row inserted by this delta has index ≥ the pre-delta row count, so it
@@ -530,7 +529,7 @@ Status VseInstance::ApplyDelta(Database& database, const BaseDelta& delta,
       matches.clear();
       if (Status s = internal::CollectDeltaMatches(
               database, *queries_[v], structure.base_mask, first_new_row,
-              &matches);
+              &matches, &out.delta_rows_examined);
           !s.ok()) {
         return s;
       }

@@ -12,6 +12,7 @@
 #include "plan/compiled_instance.h"
 #include "solvers/solver_registry.h"
 #include "testing/fuzzer.h"
+#include "testing/reference_eval.h"
 
 namespace delprop {
 namespace testing {
@@ -238,6 +239,41 @@ void CheckDerivedState(const VseInstance& live, const VseInstance& shadow,
   }
 }
 
+/// The indexed insert join must return the reference scan's (head, witness)
+/// pairs in the reference's order: view-tuple numbering after an insert
+/// follows it.
+void CheckDeltaMatches(const Database& db,
+                       const std::vector<const ConjunctiveQuery*>& queries,
+                       const DeletionSet& mask,
+                       const std::vector<uint32_t>& first_new_row,
+                       size_t case_index, uint64_t seed, size_t step,
+                       std::vector<MutationViolation>* violations) {
+  for (const ConjunctiveQuery* query : queries) {
+    std::vector<std::pair<Tuple, Witness>> indexed;
+    std::vector<std::pair<Tuple, Witness>> reference;
+    Status collected = internal::CollectDeltaMatches(db, *query, mask,
+                                                     first_new_row, &indexed);
+    ReferenceDeltaMatches(db, *query, mask, first_new_row, &reference);
+    if (!collected.ok()) {
+      violations->push_back({case_index, seed, step, "delta-matches",
+                             query->name() + ": " + collected.ToString()});
+      continue;
+    }
+    if (indexed == reference) continue;
+    size_t at = 0;
+    while (at < indexed.size() && at < reference.size() &&
+           indexed[at] == reference[at]) {
+      ++at;
+    }
+    violations->push_back(
+        {case_index, seed, step, "delta-matches",
+         query->name() + ": " + std::to_string(indexed.size()) +
+             " indexed vs " + std::to_string(reference.size()) +
+             " reference matches, first difference at match " +
+             std::to_string(at)});
+  }
+}
+
 void RunOneCase(const MutationFuzzOptions& options, size_t index,
                 CaseOutcome* outcome) {
   outcome->seed = DeriveTaskSeed(options.seed_start, index);
@@ -263,6 +299,10 @@ void RunOneCase(const MutationFuzzOptions& options, size_t index,
         MakeRandomDelta(db, live.base_mask(), rng, index, step);
     if (delta.empty()) continue;
 
+    std::vector<uint32_t> first_new_row(db.relation_count());
+    for (RelationId r = 0; r < db.relation_count(); ++r) {
+      first_new_row[r] = static_cast<uint32_t>(db.relation(r).row_count());
+    }
     ApplyDeltaReport report;
     Status applied = live.ApplyDelta(db, delta, apply_options, &report);
     if (!applied.ok()) {
@@ -277,6 +317,10 @@ void RunOneCase(const MutationFuzzOptions& options, size_t index,
     outcome->view_tuples_removed += report.view_tuples_removed;
     if (report.core_patched) ++outcome->core_patches;
     if (report.core_rebuilt) ++outcome->core_rebuilds;
+    if (!delta.inserts.empty()) {
+      CheckDeltaMatches(db, queries, live.base_mask(), first_new_row, index,
+                        outcome->seed, step, &outcome->violations);
+    }
 
     // Interleave ΔV marks and reweights so every oracle pass also covers
     // post-delta mark remapping and the SetWeight core-patch path.

@@ -29,8 +29,10 @@ struct MutationFuzzOptions {
 };
 
 /// One oracle violation found by the mutation fuzz loop. `check` is a stable
-/// machine-readable name: "apply" (ApplyDelta returned an error), "content"
-/// (views differ from a from-scratch Create as sets), "unique-witness",
+/// machine-readable name: "apply" (ApplyDelta returned an error),
+/// "delta-matches" (the indexed insert join and the reference scan disagree
+/// on its matches or their order), "content" (views differ from a
+/// from-scratch Create as sets), "unique-witness",
 /// "kill-map", "core" (compiled PlanCore/overlay not byte-identical), or
 /// "solver:<name>".
 struct MutationViolation {
@@ -65,8 +67,11 @@ struct MutationFuzzSummary {
 /// case, then `steps_per_case` random base-data deltas (inserts with fresh
 /// keys and value reuse for join pressure, logical deletes, interleaved ΔV
 /// marks and reweights) are applied to the live instance via ApplyDelta.
-/// After every delta the live instance is checked against two independent
-/// rebuilds over the mutated database:
+/// After every delta with inserts, the indexed insert join
+/// (internal::CollectDeltaMatches) is replayed against the reference scan
+/// (ReferenceDeltaMatches) per query: same pairs, same order. Then the live
+/// instance is checked against two independent rebuilds over the mutated
+/// database:
 ///
 ///  * a from-scratch `VseInstance::Create` under the live base mask — the
 ///    views must agree as sets (head values and witness sets);

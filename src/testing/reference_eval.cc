@@ -90,5 +90,99 @@ size_t NaiveEvaluationCost(const Database& db, const ConjunctiveQuery& query) {
   return cost;
 }
 
+namespace {
+
+/// State of one ReferenceDeltaMatches call; Assign binds atom `atom_index`
+/// and recurses, unwinding its own bindings before it returns.
+struct DeltaScan {
+  DeltaScan(const Database& database, const ConjunctiveQuery& query,
+            const DeletionSet& mask, const std::vector<uint32_t>& first_new_row,
+            std::vector<std::pair<Tuple, Witness>>* out)
+      : database(database),
+        query(query),
+        mask(mask),
+        first_new_row(first_new_row),
+        out(out),
+        binding(query.variable_count(), 0),
+        bound(query.variable_count(), 0) {}
+
+  const Database& database;
+  const ConjunctiveQuery& query;
+  const DeletionSet& mask;
+  const std::vector<uint32_t>& first_new_row;
+  std::vector<std::pair<Tuple, Witness>>* out;
+  size_t pivot_atom = 0;
+  uint32_t pivot_row = 0;
+  std::vector<ValueId> binding;
+  std::vector<uint8_t> bound;
+  Witness witness;
+
+  void Assign(size_t atom_index) {
+    const std::vector<Atom>& atoms = query.atoms();
+    if (atom_index == atoms.size()) {
+      Tuple values;
+      for (const Term& t : query.head()) {
+        values.push_back(t.is_constant() ? t.id : binding[t.id]);
+      }
+      out->emplace_back(std::move(values), witness);
+      return;
+    }
+    const Atom& atom = atoms[atom_index];
+    const Relation& relation = database.relation(atom.relation);
+    uint32_t begin = 0;
+    uint32_t end = static_cast<uint32_t>(relation.row_count());
+    if (atom_index == pivot_atom) {
+      begin = pivot_row;
+      end = pivot_row + 1;
+    } else if (atom_index < pivot_atom) {
+      end = first_new_row[atom.relation];
+    }
+    for (uint32_t r = begin; r < end; ++r) {
+      if (mask.Contains(TupleRef{atom.relation, r})) continue;
+      const Tuple& row = relation.row(r);
+      std::vector<VarId> fresh;
+      bool match = true;
+      for (size_t p = 0; p < atom.terms.size() && match; ++p) {
+        const Term& t = atom.terms[p];
+        if (t.is_constant()) {
+          match = row[p] == t.id;
+        } else if (bound[t.id]) {
+          match = row[p] == binding[t.id];
+        } else {
+          bound[t.id] = 1;
+          binding[t.id] = row[p];
+          fresh.push_back(t.id);
+        }
+      }
+      if (match) {
+        witness.push_back(TupleRef{atom.relation, r});
+        Assign(atom_index + 1);
+        witness.pop_back();
+      }
+      for (VarId v : fresh) bound[v] = 0;
+    }
+  }
+};
+
+}  // namespace
+
+void ReferenceDeltaMatches(const Database& database,
+                           const ConjunctiveQuery& query,
+                           const DeletionSet& mask,
+                           const std::vector<uint32_t>& first_new_row,
+                           std::vector<std::pair<Tuple, Witness>>* out) {
+  DeltaScan scan(database, query, mask, first_new_row, out);
+  const std::vector<Atom>& atoms = query.atoms();
+  for (size_t a = 0; a < atoms.size(); ++a) {
+    uint32_t row_count =
+        static_cast<uint32_t>(database.relation(atoms[a].relation).row_count());
+    for (uint32_t r = first_new_row[atoms[a].relation]; r < row_count; ++r) {
+      scan.pivot_atom = a;
+      scan.pivot_row = r;
+      scan.Assign(0);
+    }
+  }
+}
+
 }  // namespace testing
 }  // namespace delprop

@@ -3,6 +3,8 @@
 
 #include <map>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "query/evaluator.h"
 #include "query/view.h"
@@ -36,6 +38,21 @@ ResultMap ViewToResultMap(const View& view);
 /// crosscheck when this exceeds their budget.
 size_t NaiveEvaluationCost(const Database& database,
                            const ConjunctiveQuery& query);
+
+/// Reference for internal::CollectDeltaMatches (dp/base_delta.h): the plain
+/// body-order backtracking scan it replaced. For each pivot atom in body
+/// order and each new row of its relation ascending, atoms are bound in body
+/// order over ascending rows — atoms before the pivot over old rows only,
+/// atoms after it over every row, masked rows skipped — so the (head values,
+/// witness) pairs come out in exactly the order the indexed join must
+/// reproduce. Cost is every old partial match of the query per pivot row;
+/// use only to check the indexed join. `first_new_row` must have one entry
+/// per relation.
+void ReferenceDeltaMatches(const Database& database,
+                           const ConjunctiveQuery& query,
+                           const DeletionSet& mask,
+                           const std::vector<uint32_t>& first_new_row,
+                           std::vector<std::pair<Tuple, Witness>>* out);
 
 }  // namespace testing
 }  // namespace delprop
