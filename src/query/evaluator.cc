@@ -26,7 +26,7 @@ class JoinContext {
         out_(out) {
     assignment_.assign(query.variable_count(), kUnbound);
     witness_.resize(query.atoms().size());
-    OrderAtoms();
+    order_ = GreedyAtomOrder(db, query);
     if (stats_ != nullptr) stats_->atom_order = order_;
   }
 
@@ -36,39 +36,6 @@ class JoinContext {
   bool overflowed() const { return overflowed_; }
 
  private:
-  /// Greedy ordering: repeatedly pick the unplaced atom with the most terms
-  /// bound by constants or previously placed atoms; break ties towards the
-  /// smaller relation.
-  void OrderAtoms() {
-    const auto& atoms = query_.atoms();
-    std::vector<bool> placed(atoms.size(), false);
-    std::vector<bool> bound(query_.variable_count(), false);
-    for (size_t step = 0; step < atoms.size(); ++step) {
-      size_t best = atoms.size();
-      size_t best_bound = 0;
-      size_t best_rows = 0;
-      for (size_t a = 0; a < atoms.size(); ++a) {
-        if (placed[a]) continue;
-        size_t bound_terms = 0;
-        for (const Term& t : atoms[a].terms) {
-          if (t.is_constant() || bound[t.id]) ++bound_terms;
-        }
-        size_t rows = db_.relation(atoms[a].relation).row_count();
-        if (best == atoms.size() || bound_terms > best_bound ||
-            (bound_terms == best_bound && rows < best_rows)) {
-          best = a;
-          best_bound = bound_terms;
-          best_rows = rows;
-        }
-      }
-      order_.push_back(best);
-      placed[best] = true;
-      for (const Term& t : atoms[best].terms) {
-        if (t.is_variable()) bound[t.id] = true;
-      }
-    }
-  }
-
   /// Returns the index for (relation, position) if it is already
   /// materialized — pinned by this evaluation or present in the shared cache
   /// — without building anything. Used to pick a probe position cheaply.
@@ -247,6 +214,45 @@ class JoinContext {
 };
 
 }  // namespace
+
+std::vector<size_t> GreedyAtomOrder(const Database& database,
+                                    const ConjunctiveQuery& query,
+                                    std::optional<size_t> first) {
+  const auto& atoms = query.atoms();
+  std::vector<size_t> order;
+  order.reserve(atoms.size());
+  std::vector<bool> placed(atoms.size(), false);
+  std::vector<bool> bound(query.variable_count(), false);
+  auto place = [&](size_t a) {
+    order.push_back(a);
+    placed[a] = true;
+    for (const Term& t : atoms[a].terms) {
+      if (t.is_variable()) bound[t.id] = true;
+    }
+  };
+  if (first.has_value()) place(*first);
+  while (order.size() < atoms.size()) {
+    size_t best = atoms.size();
+    size_t best_bound = 0;
+    size_t best_rows = 0;
+    for (size_t a = 0; a < atoms.size(); ++a) {
+      if (placed[a]) continue;
+      size_t bound_terms = 0;
+      for (const Term& t : atoms[a].terms) {
+        if (t.is_constant() || bound[t.id]) ++bound_terms;
+      }
+      size_t rows = database.relation(atoms[a].relation).row_count();
+      if (best == atoms.size() || bound_terms > best_bound ||
+          (bound_terms == best_bound && rows < best_rows)) {
+        best = a;
+        best_bound = bound_terms;
+        best_rows = rows;
+      }
+    }
+    place(best);
+  }
+  return order;
+}
 
 Result<View> Evaluate(const Database& database, const ConjunctiveQuery& query,
                       const EvalOptions& options) {

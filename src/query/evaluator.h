@@ -1,6 +1,9 @@
 #ifndef DELPROP_QUERY_EVALUATOR_H_
 #define DELPROP_QUERY_EVALUATOR_H_
 
+#include <optional>
+#include <vector>
+
 #include "common/status.h"
 #include "query/conjunctive_query.h"
 #include "query/view.h"
@@ -45,6 +48,15 @@ struct EvalOptions {
   /// concurrent evaluations. Results are identical with or without a cache.
   IndexCache* index_cache = nullptr;
 };
+
+/// The greedy join order, as original atom indices: repeatedly the unplaced
+/// atom with the most terms bound by constants or previously placed atoms,
+/// ties towards the smaller relation, then the lower atom index. If `first`
+/// is set, that atom is placed first and the rule orders the rest. Evaluate()
+/// runs this order with no pre-placed atom.
+std::vector<size_t> GreedyAtomOrder(const Database& database,
+                                    const ConjunctiveQuery& query,
+                                    std::optional<size_t> first = std::nullopt);
 
 /// Renders the evaluation plan (join order with per-atom binding info) the
 /// evaluator would choose, without running the query.
