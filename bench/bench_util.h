@@ -10,6 +10,8 @@
 #include <utility>
 #include <vector>
 
+#include <unistd.h>
+
 namespace delprop::bench {
 
 /// Runs `fn` once and returns (result, elapsed milliseconds).
@@ -135,6 +137,32 @@ inline double Median(std::vector<double> samples) {
   size_t mid = samples.size() / 2;
   if (samples.size() % 2 == 1) return samples[mid];
   return (samples[mid - 1] + samples[mid]) / 2.0;
+}
+
+#ifndef DELPROP_BUILD_TYPE
+#define DELPROP_BUILD_TYPE ""
+#endif
+
+/// The machine a snapshot was measured on, as a JSON object: online cores,
+/// the CMake build type the bench was compiled in, whether it is optimised,
+/// and the 1/5/15-minute load average at the time of writing.
+inline std::string HostJson() {
+  long cores = ::sysconf(_SC_NPROCESSORS_ONLN);
+  double load[3] = {-1.0, -1.0, -1.0};
+  if (::getloadavg(load, 3) != 3) load[0] = load[1] = load[2] = -1.0;
+#if defined(__OPTIMIZE__) && defined(NDEBUG)
+  const char* optimised = "true";
+#else
+  const char* optimised = "false";
+#endif
+  const char* build_type =
+      DELPROP_BUILD_TYPE[0] != '\0' ? DELPROP_BUILD_TYPE : "unknown";
+  char buffer[256];
+  std::snprintf(buffer, sizeof(buffer),
+                "{\"cores\": %ld, \"build_type\": \"%s\", "
+                "\"optimised\": %s, \"loadavg\": [%.2f, %.2f, %.2f]}",
+                cores, build_type, optimised, load[0], load[1], load[2]);
+  return buffer;
 }
 
 /// Escapes `text` for embedding inside a JSON string literal. Non-ASCII

@@ -79,8 +79,9 @@ cmake --build build-bench --target bench_solver_comparison \
 ./build-bench/bench/bench_engine_throughput --threads 4 --requests 1000 \
   --family large --json BENCH_engine_throughput.json
 # Live-data headline (per-delta ApplyDelta vs full rebuild on the scaling
-# family); exits nonzero if the two arms' result fingerprints disagree.
-./build-bench/bench/bench_incremental --deltas 64 --family large \
+# family and on the repository benchmark's 45 927-tuple instance); exits
+# nonzero if the two arms' result fingerprints disagree.
+./build-bench/bench/bench_incremental --deltas 64 --family large,level8 \
   --json BENCH_incremental.json
 # The repository benchmark's self-test (perfbench/README.md): builds its own
 # Release tree and smoke-runs every workload, checking metric names, units

@@ -58,6 +58,12 @@ struct ApplyDeltaReport {
   /// Candidate rows the insert join (internal::CollectDeltaMatches) tested,
   /// summed over the views — a deterministic measure of its work.
   size_t delta_rows_examined = 0;
+  /// Base rows (occurrence + kill) the core patch re-derived instead of
+  /// copying: the distinct bases of removed and appended witnesses and of
+  /// every witness of a tuple whose witness list changed, including bases
+  /// that leave the core. 0 unless core_patched — a deterministic measure
+  /// of the patch's non-copy work.
+  size_t core_rows_rederived = 0;
   bool core_patched = false;  // PlanCore spliced from the previous core
   bool core_rebuilt = false;  // threshold exceeded: core dropped for rebuild
 };

@@ -48,15 +48,17 @@ class TupleRemap {
   std::vector<std::vector<size_t>> dead_;
 };
 
+using internal::ViewTupleSerial;
+using KillMap =
+    std::unordered_map<TupleRef, std::vector<ViewTupleSerial>, TupleRefHash>;
+
 /// Removes `id` from the kill row of `ref`, dropping the key once empty so
 /// the map's key set stays exactly "refs occurring in some witness".
-void EraseKillEntry(
-    std::unordered_map<TupleRef, std::vector<ViewTupleId>, TupleRefHash>&
-        kill_map,
-    const TupleRef& ref, const ViewTupleId& id) {
+void EraseKillEntry(KillMap& kill_map, const TupleRef& ref,
+                    const ViewTupleSerial& id) {
   auto it = kill_map.find(ref);
   if (it == kill_map.end()) return;
-  std::vector<ViewTupleId>& list = it->second;
+  std::vector<ViewTupleSerial>& list = it->second;
   auto pos = std::lower_bound(list.begin(), list.end(), id);
   if (pos != list.end() && *pos == id) list.erase(pos);
   if (list.empty()) kill_map.erase(it);
@@ -64,11 +66,9 @@ void EraseKillEntry(
 
 /// Adds `id` to the kill row of `ref`, keeping the row sorted ascending and
 /// deduplicated — the invariant IndexWitnesses establishes.
-void InsertKillEntry(
-    std::unordered_map<TupleRef, std::vector<ViewTupleId>, TupleRefHash>&
-        kill_map,
-    const TupleRef& ref, const ViewTupleId& id) {
-  std::vector<ViewTupleId>& list = kill_map[ref];
+void InsertKillEntry(KillMap& kill_map, const TupleRef& ref,
+                     const ViewTupleSerial& id) {
+  std::vector<ViewTupleSerial>& list = kill_map[ref];
   auto pos = std::lower_bound(list.begin(), list.end(), id);
   if (pos == list.end() || !(*pos == id)) list.insert(pos, id);
 }
@@ -217,7 +217,7 @@ Status VseInstance::IndexWitnesses() {
             "consistently");
       }
       if (tuple.witnesses.size() > 1) ++structure.multi_witness_tuples;
-      ViewTupleId id{v, t};
+      ViewTupleSerial id{static_cast<uint32_t>(v), view.serial(t)};
       std::unordered_set<TupleRef, TupleRefHash> seen;
       for (const Witness& witness : tuple.witnesses) {
         if (witness.empty()) {
@@ -346,7 +346,7 @@ Status VseInstance::ValidateDelta(const Database& database,
     if (options.forbid_witnessed_deletes) {
       auto it = structure_->kill_map.find(ref);
       if (it != structure_->kill_map.end() && !it->second.empty()) {
-        const ViewTupleId& vt = it->second.front();
+        ViewTupleId vt = IdOf(it->second.front());
         return Status::InvalidArgument(
             who + ": row " + std::to_string(ref.row) + " of relation '" +
             name + "' still occurs in a witness of view " +
@@ -384,7 +384,7 @@ Status VseInstance::ApplyDelta(Database& database, const BaseDelta& delta,
 
   // ---- Deletes: extend the base mask, drop hit witnesses in place. -------
   DeletionSet deleted;
-  std::vector<ViewTupleId> affected;
+  std::vector<ViewTupleSerial> affected;
   for (const TupleRef& ref : delta.deletes) {
     if (!deleted.Insert(ref)) continue;  // duplicates collapse
     structure.base_mask.Insert(ref);
@@ -407,7 +407,9 @@ Status VseInstance::ApplyDelta(Database& database, const BaseDelta& delta,
   std::vector<WitnessRemoval> removals;
   TupleRemap remap(structure.views.size());
   std::vector<TupleRef> removed_refs;
-  for (const ViewTupleId& id : affected) {
+  for (const ViewTupleSerial& serial_id : affected) {
+    // Serial order is position order, so `removals` stay ascending.
+    ViewTupleId id = IdOf(serial_id);
     std::vector<Witness>& witnesses =
         structure.views[id.view].MutableWitnesses(id.tuple);
     WitnessRemoval removal;
@@ -432,7 +434,7 @@ Status VseInstance::ApplyDelta(Database& database, const BaseDelta& delta,
       remap.MarkDead(id);
       ++out.view_tuples_removed;
       for (const TupleRef& ref : removed_refs) {
-        EraseKillEntry(structure.kill_map, ref, id);
+        EraseKillEntry(structure.kill_map, ref, serial_id);
       }
     } else {
       // Compact the surviving witnesses in order, then drop kill-map rows
@@ -459,7 +461,7 @@ Status VseInstance::ApplyDelta(Database& database, const BaseDelta& delta,
           }
           if (still_used) break;
         }
-        if (!still_used) EraseKillEntry(structure.kill_map, ref, id);
+        if (!still_used) EraseKillEntry(structure.kill_map, ref, serial_id);
       }
       if (before > 1 && witnesses.size() <= 1) {
         --structure.multi_witness_tuples;
@@ -468,7 +470,8 @@ Status VseInstance::ApplyDelta(Database& database, const BaseDelta& delta,
     removals.push_back(std::move(removal));
   }
 
-  // ---- Compact dead tuples and re-index everything keyed by tuple id. ----
+  // ---- Compact dead tuples and re-index what is keyed by position. -------
+  // The kill map is keyed on serials and needs no pass here.
   if (remap.any()) {
     for (size_t v = 0; v < structure.views.size(); ++v) {
       const std::vector<size_t>& dead = remap.dead(v);
@@ -498,15 +501,11 @@ Status VseInstance::ApplyDelta(Database& database, const BaseDelta& delta,
       new_weights.emplace(remap.Shift(it->first), it->second);
     }
     weights_ = std::move(new_weights);
-    // Kill rows: every stored id shifts in place; the per-row ascending
-    // order survives because shifting is monotone.
-    for (auto it = structure.kill_map.begin(); it != structure.kill_map.end();
-         ++it) {
-      for (ViewTupleId& id : it->second) id = remap.Shift(id);
-    }
   }
 
   // ---- Inserts: append rows, join only the delta's neighborhood. ---------
+  // (view, tuple) of every added witness, for the core patch.
+  std::vector<std::pair<uint32_t, uint32_t>> grown;
   if (!delta.inserts.empty()) {
     std::vector<uint32_t> first_new_row(database.relation_count());
     for (RelationId r = 0; r < database.relation_count(); ++r) {
@@ -546,7 +545,8 @@ Status VseInstance::ApplyDelta(Database& database, const BaseDelta& delta,
         if (witnesses_before == 1 && witnesses_after == 2) {
           ++structure.multi_witness_tuples;
         }
-        ViewTupleId id{v, index};
+        ViewTupleSerial id{static_cast<uint32_t>(v), view.serial(index)};
+        grown.emplace_back(id.view, static_cast<uint32_t>(index));
         const Witness& added = view.tuple(index).witnesses.back();
         unique_refs.assign(added.begin(), added.end());
         std::sort(unique_refs.begin(), unique_refs.end());
@@ -577,24 +577,28 @@ Status VseInstance::ApplyDelta(Database& database, const BaseDelta& delta,
                                         old_core->witness_count());
       if (static_cast<double>(changed) <= budget && changed > 0) {
         CoreDelta core_delta;
-        core_delta.tuple_removed.assign(old_core->tuple_count(), 0);
-        core_delta.witness_removed.assign(old_core->witness_count(), 0);
         for (const WitnessRemoval& removal : removals) {
           uint32_t dense =
               old_core->view_first[removal.id.view] +
               static_cast<uint32_t>(removal.id.tuple);
           uint32_t witness_base = old_core->tuple_witness_first[dense];
           for (size_t ordinal : removal.ordinals) {
-            core_delta.witness_removed[witness_base + ordinal] = 1;
+            core_delta.removed_witnesses.push_back(
+                witness_base + static_cast<uint32_t>(ordinal));
           }
-          core_delta.removed_witness_count += removal.ordinals.size();
-          if (removal.tuple_died) {
-            core_delta.tuple_removed[dense] = 1;
-            ++core_delta.removed_tuple_count;
-          }
+          if (removal.tuple_died) core_delta.removed_tuples.push_back(dense);
         }
-        caches_->plan_core =
-            CompiledInstance::PatchCore(*old_core, *this, core_delta);
+        std::sort(grown.begin(), grown.end());
+        for (const auto& [view, tuple] : grown) {
+          if (core_delta.grown.empty() ||
+              core_delta.grown.back().view != view ||
+              core_delta.grown.back().tuple != tuple) {
+            core_delta.grown.push_back(CoreDelta::Growth{view, tuple, 0});
+          }
+          ++core_delta.grown.back().added;
+        }
+        caches_->plan_core = CompiledInstance::PatchCore(
+            *old_core, *this, core_delta, &out.core_rows_rederived);
         ++caches_->plan_stats.core_patches;
         out.core_patched = true;
       } else if (changed > 0) {
@@ -810,11 +814,13 @@ std::vector<TupleRef> VseInstance::CandidateTuples() const {
   return out;
 }
 
-const std::vector<ViewTupleId>& VseInstance::KilledBy(
-    const TupleRef& ref) const {
-  static const std::vector<ViewTupleId> kEmpty;
+std::vector<ViewTupleId> VseInstance::KilledBy(const TupleRef& ref) const {
+  std::vector<ViewTupleId> out;
   auto it = structure_->kill_map.find(ref);
-  return it == structure_->kill_map.end() ? kEmpty : it->second;
+  if (it == structure_->kill_map.end()) return out;
+  out.reserve(it->second.size());
+  for (const ViewTupleSerial& entry : it->second) out.push_back(IdOf(entry));
+  return out;
 }
 
 }  // namespace delprop

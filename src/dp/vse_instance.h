@@ -1,6 +1,7 @@
 #ifndef DELPROP_DP_VSE_INSTANCE_H_
 #define DELPROP_DP_VSE_INSTANCE_H_
 
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -58,6 +59,22 @@ struct PlanBuildStats {
 
 namespace internal {
 
+/// A view tuple named by its stable per-view serial (View::serial) instead
+/// of its position: the key of the kill map, which therefore survives the
+/// compaction after a delete untouched. Ascending serials within a view are
+/// ascending positions, so (view, serial) order is (view, tuple) order.
+struct ViewTupleSerial {
+  uint32_t view = 0;
+  uint32_t serial = 0;
+
+  friend bool operator==(const ViewTupleSerial& a, const ViewTupleSerial& b) {
+    return a.view == b.view && a.serial == b.serial;
+  }
+  friend bool operator<(const ViewTupleSerial& a, const ViewTupleSerial& b) {
+    return a.view != b.view ? a.view < b.view : a.serial < b.serial;
+  }
+};
+
 /// The base-data-derived half of a VseInstance: materialized views with
 /// lineage, the witness kill map, the multi-witness tally behind
 /// all_unique_witness(), and the instance's logical base-row mask. Shared
@@ -68,7 +85,9 @@ namespace internal {
 /// generations, letting serving layers assert replicas follow the primary.
 struct ViewStructure {
   std::vector<View> views;
-  std::unordered_map<TupleRef, std::vector<ViewTupleId>, TupleRefHash>
+  /// Base ref -> the view tuples having it in some witness, ascending and
+  /// deduplicated; keyed on serials (see ViewTupleSerial).
+  std::unordered_map<TupleRef, std::vector<ViewTupleSerial>, TupleRefHash>
       kill_map;
   /// Number of view tuples with more than one witness; 0 ⇔
   /// all_unique_witness(). Maintained incrementally by ApplyDelta.
@@ -157,8 +176,14 @@ class VseInstance {
   /// all_unique_witness tally, ΔV marks, weights, and compiled plan are all
   /// delta-updated in place. Equivalent to re-creating the instance over the
   /// mutated database (byte-identically — property-tested by the
-  /// mutate-vs-rebuild oracle in testing/mutation.h), at a cost proportional
-  /// to the delta's join neighborhood, not to ‖D‖ or ‖V‖.
+  /// mutate-vs-rebuild oracle in testing/mutation.h). The view, kill-map and
+  /// multi-witness work is proportional to the delta's join neighborhood and
+  /// the witnesses it removes or adds. What stays linear in ‖V‖ is flat
+  /// array copying: each view that lost tuples is compacted, and the patched
+  /// PlanCore is a segment-wise copy of the old one with ids remapped (its
+  /// occurrence and kill rows are re-derived only for the bases of changed
+  /// witnesses, counted by ApplyDeltaReport::core_rows_rederived). ΔV marks
+  /// and weights are re-keyed in O(‖ΔV‖ + set weights).
   ///
   /// The whole delta is validated first and rejected without side effects:
   /// inserts must match arity and respect keys (masked rows keep their keys
@@ -274,8 +299,9 @@ class VseInstance {
   std::vector<TupleRef> CandidateTuples() const;
 
   /// View tuples having `ref` in at least one witness (the "kill set" of the
-  /// base tuple). Empty list if the tuple occurs in no witness.
-  const std::vector<ViewTupleId>& KilledBy(const TupleRef& ref) const;
+  /// base tuple), ascending. Empty list if the tuple occurs in no witness.
+  /// Translates the kill map's serials to positions, O(k log ‖V‖).
+  std::vector<ViewTupleId> KilledBy(const TupleRef& ref) const;
 
   const ViewTuple& view_tuple(const ViewTupleId& id) const {
     return structure_->views[id.view].tuple(id.tuple);
@@ -302,6 +328,12 @@ class VseInstance {
   /// empty) and builds the kill map plus the multi-witness tally. Shared
   /// tail of all three factories.
   Status IndexWitnesses();
+
+  /// Position-based id of a kill-map entry.
+  ViewTupleId IdOf(const internal::ViewTupleSerial& entry) const {
+    return ViewTupleId{
+        entry.view, structure_->views[entry.view].PositionOf(entry.serial)};
+  }
 
   /// Copy-on-write access to the view structure: detaches a private copy
   /// when replicas still share it, so their snapshot stays frozen.

@@ -66,17 +66,23 @@ struct PlanCore {
   }
 };
 
-/// A view-level delta phrased in an existing core's dense ids: which old
-/// view tuples disappeared and which old witnesses were removed (a removed
-/// tuple has all of its witnesses marked). Appended tuples and witnesses are
-/// not listed — `CompiledInstance::PatchCore` reads them straight from the
-/// already-mutated views, which hold survivors first (in their old relative
-/// order) and appended tuples/witnesses last.
+/// A view-level delta phrased against an existing core: which of its view
+/// tuples and witnesses disappeared (old dense ids; a removed tuple lists all
+/// of its witnesses) and which view tuples gained witnesses. A tuple that
+/// gained is named by its post-delta (view, position), and its new witnesses
+/// are the last `added` entries of its witness list in the mutated view.
+/// The mutated views hold each view's survivors first, in their old relative
+/// order, so a position at or past a view's survivor count names a tuple the
+/// delta created (all of its witnesses are then new).
 struct CoreDelta {
-  std::vector<uint8_t> tuple_removed;    // by old dense tuple id
-  std::vector<uint8_t> witness_removed;  // by old witness id
-  size_t removed_tuple_count = 0;
-  size_t removed_witness_count = 0;
+  struct Growth {
+    uint32_t view = 0;
+    uint32_t tuple = 0;
+    uint32_t added = 0;
+  };
+  std::vector<uint32_t> removed_tuples;     // old dense ids, ascending
+  std::vector<uint32_t> removed_witnesses;  // old witness ids, ascending
+  std::vector<Growth> grown;                // ascending (view, tuple)
 };
 
 /// The dense, immutable execution plan of a VseInstance: every view tuple
@@ -133,17 +139,20 @@ class CompiledInstance {
       const std::vector<ViewTupleId>& deletions,
       std::shared_ptr<const CompiledInstance> recycle);
 
-  /// Splices a new core out of `old_core` after a base-data delta: the
-  /// removed tuples/witnesses in `delta` are dropped, appended ones are read
-  /// from `instance`'s (already mutated) views, and every derived array
-  /// (remapped ids, merged base refs, occurrence and kill rows) is rebuilt
-  /// in linear passes — no per-member hashing and no global ref sort, the
-  /// two costs that dominate a from-scratch build. The result is
-  /// byte-identical to BuildCore over the mutated instance (property-tested
-  /// by the mutate-vs-rebuild oracle).
+  /// Splices a new core out of `old_core` after a base-data delta. Only the
+  /// delta is read from `instance` (the grown tuples' new witnesses and the
+  /// created tuples' weights); everything else is copied from `old_core`
+  /// segment by segment through old->new tuple, witness and base id remaps.
+  /// Occurrence and kill rows are re-derived only for the bases of removed
+  /// or appended witnesses and of every witness of a tuple whose witness
+  /// list changed; all other rows are copied. `rows_rederived` (if
+  /// non-null) receives that base count, bases leaving the core included.
+  /// The result is byte-identical to a from-scratch build over the mutated
+  /// instance (property-tested by the mutate-vs-rebuild oracle).
   static std::shared_ptr<const PlanCore> PatchCore(const PlanCore& old_core,
                                                    const VseInstance& instance,
-                                                   const CoreDelta& delta);
+                                                   const CoreDelta& delta,
+                                                   size_t* rows_rederived);
 
   /// The shared ΔV-independent core this plan was compiled from.
   const std::shared_ptr<const PlanCore>& core() const { return core_; }

@@ -5,13 +5,17 @@
 namespace delprop {
 
 size_t View::AddMatch(const Tuple& values, Witness witness) {
-  auto [it, inserted] = index_by_values_.emplace(values, tuples_.size());
+  auto [it, inserted] = serial_by_values_.emplace(values, next_serial_);
+  size_t index;
   if (inserted) {
+    index = tuples_.size();
     ViewTuple vt;
     vt.values = values;
     tuples_.push_back(std::move(vt));
+    serials_.push_back(next_serial_++);
+  } else {
+    index = PositionOf(it->second);
   }
-  size_t index = it->second;
   std::vector<Witness>& witnesses = tuples_[index].witnesses;
   if (std::find(witnesses.begin(), witnesses.end(), witness) ==
       witnesses.end()) {
@@ -20,43 +24,40 @@ size_t View::AddMatch(const Tuple& values, Witness witness) {
   return index;
 }
 
+size_t View::PositionOf(uint32_t serial) const {
+  return static_cast<size_t>(
+      std::lower_bound(serials_.begin(), serials_.end(), serial) -
+      serials_.begin());
+}
+
 void View::RemoveTuples(const std::vector<size_t>& sorted_indices) {
   if (sorted_indices.empty()) return;
+  for (size_t index : sorted_indices) {
+    serial_by_values_.erase(tuples_[index].values);
+  }
+  // Tuples before the first removed one keep their positions.
   size_t next_removed = 0;
-  size_t write = 0;
-  for (size_t read = 0; read < tuples_.size(); ++read) {
+  size_t write = sorted_indices.front();
+  for (size_t read = write; read < tuples_.size(); ++read) {
     if (next_removed < sorted_indices.size() &&
         sorted_indices[next_removed] == read) {
       ++next_removed;
       continue;
     }
-    if (write != read) tuples_[write] = std::move(tuples_[read]);
+    if (write != read) {
+      tuples_[write] = std::move(tuples_[read]);
+      serials_[write] = serials_[read];
+    }
     ++write;
   }
   tuples_.resize(write);
-  // Re-point the head-value index without rehashing any tuple: a survivor's
-  // index drops by the number of removed indices below it, a removed index
-  // drops out. One pass over the map (mutation only — nothing here depends
-  // on its iteration order) beats a hash of the full value vector per
-  // survivor, which dominated ApplyDelta's delete path.
-  for (auto it = index_by_values_.begin(); it != index_by_values_.end();) {
-    size_t below = static_cast<size_t>(
-        std::lower_bound(sorted_indices.begin(), sorted_indices.end(),
-                         it->second) -
-        sorted_indices.begin());
-    if (below < sorted_indices.size() && sorted_indices[below] == it->second) {
-      it = index_by_values_.erase(it);
-      continue;
-    }
-    it->second -= below;
-    ++it;
-  }
+  serials_.resize(write);
 }
 
 std::optional<size_t> View::Find(const Tuple& values) const {
-  auto it = index_by_values_.find(values);
-  if (it == index_by_values_.end()) return std::nullopt;
-  return it->second;
+  auto it = serial_by_values_.find(values);
+  if (it == serial_by_values_.end()) return std::nullopt;
+  return PositionOf(it->second);
 }
 
 bool View::Survives(size_t index, const DeletionSet& deletion) const {

@@ -1,6 +1,7 @@
 #ifndef DELPROP_QUERY_VIEW_H_
 #define DELPROP_QUERY_VIEW_H_
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -27,6 +28,14 @@ struct ViewTuple {
 };
 
 /// A materialized query result Q(D) with lineage.
+///
+/// Tuples are addressed two ways. A *position* (`index` below) is the
+/// tuple's place in the view; positions are dense and shift down when
+/// RemoveTuples compacts earlier tuples away. A *serial* is assigned once,
+/// when AddMatch creates the tuple, and never changes: serials ascend with
+/// position, so serial -> position is a binary search, and structures keyed
+/// by serial (the head-value index here, VseInstance's kill map) survive a
+/// compaction without being rewritten.
 class View {
  public:
   View(const ConjunctiveQuery* query, const Database* database)
@@ -39,6 +48,13 @@ class View {
   /// Index of the view tuple with head `values`, if present.
   std::optional<size_t> Find(const Tuple& values) const;
 
+  /// Stable serial of the tuple at position `index`.
+  uint32_t serial(size_t index) const { return serials_[index]; }
+
+  /// Position of the tuple with serial `serial`, which must still be in the
+  /// view (O(log size)).
+  size_t PositionOf(uint32_t serial) const;
+
   /// In-place witness list of tuple `index` — for VseInstance::ApplyDelta's
   /// incremental maintenance only. Callers must leave the list non-empty or
   /// remove the emptied tuple via RemoveTuples before anything else reads
@@ -48,9 +64,10 @@ class View {
   }
 
   /// Removes the tuples at `sorted_indices` (ascending, distinct), compacting
-  /// the survivors in order and re-pointing the head-value index. Preserving
-  /// the survivors' relative order keeps dense-id iteration — and every
-  /// solver tie-break derived from it — deterministic across deltas.
+  /// the survivors in order. Preserving the survivors' relative order keeps
+  /// dense-id iteration — and every solver tie-break derived from it —
+  /// deterministic across deltas. The head-value index is keyed on serials,
+  /// so only the removed tuples' entries are touched.
   void RemoveTuples(const std::vector<size_t>& sorted_indices);
 
   /// True if view tuple `index` survives deleting `deletion` from the source:
@@ -69,7 +86,10 @@ class View {
   const ConjunctiveQuery* query_;
   const Database* database_;
   std::vector<ViewTuple> tuples_;
-  std::unordered_map<Tuple, size_t, VectorHash<ValueId>> index_by_values_;
+  std::vector<uint32_t> serials_;  // parallel to tuples_, ascending
+  // A view would need 2^32 tuple creations in its lifetime to wrap this.
+  uint32_t next_serial_ = 0;
+  std::unordered_map<Tuple, uint32_t, VectorHash<ValueId>> serial_by_values_;
 };
 
 }  // namespace delprop

@@ -65,8 +65,9 @@ struct MutationFuzzSummary {
 
 /// Runs the mutate-vs-rebuild differential loop: every seed generates a fuzz
 /// case, then `steps_per_case` random base-data deltas (inserts with fresh
-/// keys and value reuse for join pressure, logical deletes, interleaved ΔV
-/// marks and reweights) are applied to the live instance via ApplyDelta.
+/// keys and value reuse for join pressure, fan-in batches of rows sharing
+/// one row's non-key values, logical deletes, interleaved ΔV marks and
+/// reweights) are applied to the live instance via ApplyDelta.
 /// After every delta with inserts, the indexed insert join
 /// (internal::CollectDeltaMatches) is replayed against the reference scan
 /// (ReferenceDeltaMatches) per query: same pairs, same order. Then the live

@@ -8,6 +8,7 @@
 #include "dp/vse_instance.h"
 #include "common/rng.h"
 #include "plan/compiled_instance.h"
+#include "query/parser.h"
 #include "workload/author_journal.h"
 #include "workload/path_schema.h"
 
@@ -80,6 +81,13 @@ class ApplyDeltaTest : public ::testing::Test {
     EXPECT_EQ(a.occ_witness, b.occ_witness);
     EXPECT_EQ(a.base_kill_first, b.base_kill_first);
     EXPECT_EQ(a.kill_tuple, b.kill_tuple);
+    EXPECT_EQ(a.witness_bit_first, b.witness_bit_first);
+    EXPECT_EQ(a.occ_hit_bit, b.occ_hit_bit);
+    EXPECT_EQ(a.kill_witness_mask, b.kill_witness_mask);
+    EXPECT_EQ(a.max_witnesses_per_tuple, b.max_witnesses_per_tuple);
+    EXPECT_EQ(a.max_witness_members, b.max_witness_members);
+    EXPECT_EQ(a.min_witness_raw_members, b.min_witness_raw_members);
+    EXPECT_EQ(a.bits_supported, b.bits_supported);
     EXPECT_EQ(instance().compiled()->deletion_dense(),
               shadow.compiled()->deletion_dense());
     EXPECT_EQ(instance().compiled()->candidate_bases(),
@@ -385,6 +393,56 @@ TEST_F(ApplyDeltaTest, BulkInsertNamesTheRepeatedKeyAtItsEnd) {
             rows_before + kInserts);
 }
 
+// The packed kill masks exist only while every tuple's witness fan-in fits
+// one 64-bit word. A patch that pushes a tuple past 64 witnesses must drop
+// them; one that brings it back to 64 or fewer has no old masks to copy and
+// re-derives every row. Both must still match a from-scratch build.
+TEST_F(ApplyDeltaTest, PatchFollowsTheBitLayoutAcrossSixtyFourWitnesses) {
+  GeneratedVse built;
+  built.database = std::make_unique<Database>();
+  Database& database = *built.database;
+  RelationId a = *database.AddRelation("A", 2, {0});
+  for (int k = 0; k < 64; ++k) {
+    ASSERT_TRUE(database.InsertText(a, {"k" + std::to_string(k), "hot"}).ok());
+  }
+  ASSERT_TRUE(database.InsertText(a, {"k_cold", "cold"}).ok());
+  for (const char* text : {"Q(x) :- A(k, x)", "P(k, x) :- A(k, x)"}) {
+    Result<ConjunctiveQuery> query =
+        ParseQuery(text, database.schema(), database.dict());
+    ASSERT_TRUE(query.ok()) << query.status().ToString();
+    built.queries.push_back(
+        std::make_unique<ConjunctiveQuery>(std::move(*query)));
+  }
+  Result<VseInstance> created = VseInstance::Create(
+      database, {built.queries[0].get(), built.queries[1].get()});
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  built.instance = std::make_unique<VseInstance>(std::move(*created));
+  generated_ = std::move(built);
+  ASSERT_TRUE(instance().MarkForDeletion(ViewTupleId{0, 1}).ok());
+  ASSERT_TRUE(instance().compiled()->bits_supported());
+
+  auto apply = [&](const BaseDelta& delta, bool bits_after) {
+    ApplyDeltaReport report;
+    ASSERT_TRUE(instance().ApplyDelta(db(), delta, {}, &report).ok());
+    EXPECT_TRUE(report.core_patched);
+    EXPECT_EQ(instance().compiled()->bits_supported(), bits_after);
+    ExpectMatchesReindex();
+  };
+  BaseDelta grow;  // Q(hot) reaches 65 witnesses: masks dropped.
+  grow.inserts.push_back(BaseInsert{
+      a, {db().dict().Intern("k64"), db().dict().Intern("hot")}});
+  apply(grow, false);
+  BaseDelta shrink;  // back to 63: masks re-derived for every row.
+  shrink.deletes.push_back(TupleRef{a, 3});
+  shrink.deletes.push_back(TupleRef{a, 40});
+  apply(shrink, true);
+  BaseDelta steady;  // 64 again, masks copied where untouched.
+  steady.inserts.push_back(BaseInsert{
+      a, {db().dict().Intern("k65"), db().dict().Intern("hot")}});
+  steady.deletes.push_back(TupleRef{a, 64});  // the cold row
+  apply(steady, true);
+}
+
 // The insert join's work is local: one new leaf under a live parent walks up
 // the parent keys once per query, so the rows it examines do not depend on
 // the database size. Path schema with 5 levels and fanout 3; the second
@@ -424,6 +482,83 @@ TEST(ApplyDeltaWorkTest, LeafInsertExaminesRowsIndependentOfDatabaseSize) {
   // 5 + 4 + 3 + 2 atoms.
   EXPECT_EQ(small, 14u);
   EXPECT_EQ(large, 14u);
+}
+
+// The core patch re-derives only the base rows a delta's witnesses touch and
+// copies the rest. On the path schema every view tuple has one witness, so a
+// one-leaf delete removes the witnesses through the leaf and a one-leaf
+// insert appends the new leaf's, and the re-derived rows are exactly the
+// distinct bases of those witnesses — independent of ‖V‖.
+TEST(ApplyDeltaWorkTest, CorePatchRederivesOnlyTheDeltaWitnessBases) {
+  for (size_t levels : {6u, 8u}) {
+    SCOPED_TRACE("levels=" + std::to_string(levels));
+    PathSchemaParams params;
+    params.levels = levels;
+    params.roots = 3;
+    params.fanout = 3;
+    Rng rng(7);
+    Result<GeneratedVse> generated = GeneratePathSchema(rng, params);
+    ASSERT_TRUE(generated.ok()) << generated.status().ToString();
+    Database& db = *generated->database;
+    VseInstance& instance = *generated->instance;
+    (void)instance.compiled();
+    const std::string leaf_level = std::to_string(levels - 1);
+    RelationId leaf = *db.schema().FindRelation("L" + leaf_level);
+    auto distinct_bases = [](const std::vector<const Witness*>& witnesses) {
+      std::vector<TupleRef> refs;
+      for (const Witness* witness : witnesses) {
+        refs.insert(refs.end(), witness->begin(), witness->end());
+      }
+      std::sort(refs.begin(), refs.end());
+      return static_cast<size_t>(
+          std::unique(refs.begin(), refs.end()) - refs.begin());
+    };
+
+    // Delete leaf row 4: its removed witnesses are those of KilledBy.
+    TupleRef deleted{leaf, 4};
+    std::vector<const Witness*> removed;
+    for (const ViewTupleId& id : instance.KilledBy(deleted)) {
+      for (const Witness& witness : instance.view_tuple(id).witnesses) {
+        removed.push_back(&witness);
+      }
+    }
+    size_t expected_delete = distinct_bases(removed);
+    BaseDelta delete_delta;
+    delete_delta.deletes.push_back(deleted);
+    ApplyDeltaReport report;
+    ASSERT_TRUE(instance.ApplyDelta(db, delete_delta, {}, &report).ok());
+    ASSERT_TRUE(report.core_patched);
+    EXPECT_EQ(report.view_tuples_removed, levels - 1);
+    EXPECT_EQ(report.core_rows_rederived, expected_delete);
+    EXPECT_EQ(expected_delete, levels);  // the leaf and its ancestors
+
+    // Insert a fresh leaf: its appended witnesses are those of the tuples
+    // it created, at the end of each view.
+    std::vector<size_t> sizes_before;
+    for (size_t v = 0; v < instance.view_count(); ++v) {
+      sizes_before.push_back(instance.view(v).size());
+    }
+    BaseDelta insert_delta;
+    insert_delta.inserts.push_back(BaseInsert{
+        leaf,
+        {db.dict().Intern("n" + leaf_level + "_new"),
+         db.dict().Intern("n" + std::to_string(levels - 2) + "_1"),
+         db.dict().Intern("p1")}});
+    ASSERT_TRUE(instance.ApplyDelta(db, insert_delta, {}, &report).ok());
+    ASSERT_TRUE(report.core_patched);
+    EXPECT_EQ(report.view_tuples_added, levels - 1);
+    std::vector<const Witness*> appended;
+    for (size_t v = 0; v < instance.view_count(); ++v) {
+      for (size_t t = sizes_before[v]; t < instance.view(v).size(); ++t) {
+        for (const Witness& witness : instance.view(v).tuple(t).witnesses) {
+          appended.push_back(&witness);
+        }
+      }
+    }
+    EXPECT_EQ(report.core_rows_rederived, distinct_bases(appended));
+    // The new leaf and its levels - 1 ancestors.
+    EXPECT_EQ(report.core_rows_rederived, levels);
+  }
 }
 
 TEST_F(ApplyDeltaTest, WrongDatabaseIsRejected) {

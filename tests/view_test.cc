@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "dp/side_effect.h"
 #include "query/evaluator.h"
 #include "query/parser.h"
@@ -41,6 +46,65 @@ TEST_F(ViewTest, FindMissingReturnsNullopt) {
   View view(query_.get(), &db_);
   Tuple missing = {db_.dict().Intern("zzz"), db_.dict().Intern("b")};
   EXPECT_FALSE(view.Find(missing).has_value());
+}
+
+// Positions shift under RemoveTuples, serials do not: Find, PositionOf and
+// AddMatch must keep agreeing across interleaved removals and appends.
+TEST_F(ViewTest, FindTracksPositionsAcrossRemovalsAndAppends) {
+  View view(query_.get(), &db_);
+  auto values_of = [&](int i) {
+    return Tuple{db_.dict().Intern("a" + std::to_string(i)),
+                 db_.dict().Intern("b")};
+  };
+  std::vector<int> live;  // expected content, in position order
+  int next = 0;
+  auto append = [&](int count) {
+    for (int k = 0; k < count; ++k, ++next) {
+      size_t index = view.AddMatch(values_of(next), Witness{{0, 0}});
+      EXPECT_EQ(index, live.size());
+      live.push_back(next);
+    }
+  };
+  auto remove = [&](std::vector<size_t> positions) {
+    view.RemoveTuples(positions);
+    for (size_t i = positions.size(); i-- > 0;) {
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(positions[i]));
+    }
+  };
+  auto expect_consistent = [&]() {
+    ASSERT_EQ(view.size(), live.size());
+    for (size_t pos = 0; pos < live.size(); ++pos) {
+      EXPECT_EQ(view.tuple(pos).values, values_of(live[pos]));
+      std::optional<size_t> found = view.Find(values_of(live[pos]));
+      ASSERT_TRUE(found.has_value()) << "a" << live[pos];
+      EXPECT_EQ(*found, pos);
+      EXPECT_EQ(view.PositionOf(view.serial(pos)), pos);
+      if (pos > 0) EXPECT_LT(view.serial(pos - 1), view.serial(pos));
+    }
+    for (int i = 0; i < next; ++i) {
+      bool present = std::find(live.begin(), live.end(), i) != live.end();
+      EXPECT_EQ(view.Find(values_of(i)).has_value(), present) << "a" << i;
+    }
+  };
+  append(6);
+  remove({0, 2, 5});
+  expect_consistent();
+  append(3);
+  expect_consistent();
+  remove({1, 3});
+  expect_consistent();
+  // A witness for an existing head lands on its current position.
+  size_t index = view.AddMatch(values_of(live[2]), Witness{{0, 1}});
+  EXPECT_EQ(index, 2u);
+  EXPECT_EQ(view.tuple(2).witnesses.size(), 2u);
+  append(2);
+  remove({0});
+  expect_consistent();
+  // A removed head comes back as a new tuple at the end.
+  size_t again = view.AddMatch(values_of(0), Witness{{0, 0}});
+  EXPECT_EQ(again, view.size() - 1);
+  live.push_back(0);
+  expect_consistent();
 }
 
 TEST_F(ViewTest, SurvivesRequiresDisjointWitness) {
