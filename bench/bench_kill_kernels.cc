@@ -1,16 +1,14 @@
-// Kernel microbench: the DamageTracker operation mix A/B-timed under both
-// state representations — the scalar counter fallback and the bit-parallel
-// kill kernels (src/solvers/kill_kernels.h, docs/perf.md "Bit-parallel kill
-// kernels"). Each family runs four deterministic op scripts (delete sweep
-// with per-op marginals, delete/undelete churn, probe mix, reset cycling)
-// from a pristine tracker, pinned to one kernel via ScopedKernelOverride.
-// The scripts accumulate a floating-point fingerprint; the two paths must
-// agree on it bitwise — any divergence exits nonzero, making this bench a
-// cheap differential check as well as a timer.
+// Kill-kernel microbench: the DamageTracker operation mix timed on the
+// bit-parallel kill kernels (src/solvers/kill_kernels.h, docs/perf.md
+// "Bit-parallel kill kernels"). Each family runs four deterministic op
+// scripts (delete sweep with per-op marginals, delete/undelete churn, probe
+// mix, reset cycling) from a pristine tracker. Each script accumulates a
+// floating-point fingerprint, so a change to the kernels that alters any
+// returned value shows up as a changed `cost` in the JSON rows.
 //
-// With --json <path> the run also writes a machine-readable report (rows
-// "scalar:<op>" / "bitset:<op>", cost = fingerprint, wall_ms = median over
-// --repeat runs after --warmup discarded runs).
+// With --json <path> the run also writes a machine-readable report (one row
+// per op, cost = fingerprint, wall_ms = median over --repeat runs after
+// --warmup discarded runs).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -23,7 +21,6 @@
 #include "common/text_table.h"
 #include "plan/compiled_instance.h"
 #include "solvers/damage_tracker.h"
-#include "solvers/kill_kernels.h"
 #include "workload/path_schema.h"
 #include "workload/random_workload.h"
 #include "workload/star_schema.h"
@@ -31,9 +28,6 @@
 
 namespace delprop {
 namespace {
-
-using kernels::KernelMode;
-using kernels::ScopedKernelOverride;
 
 /// One op script: runs against a pristine tracker, returns a fingerprint.
 struct OpScript {
@@ -55,8 +49,7 @@ std::vector<OpScript> Scripts() {
          return fp + t.killed_preserved_weight();
        }});
   // Local search's exchange shape: build the full deletion, then walk it
-  // back — undelete is the half the scalar path pays for twice (decrement
-  // plus re-check) and the bit path pays for once (masked ANDN).
+  // back with masked-ANDN undeletes.
   ops.push_back(
       {"churn", [](DamageTracker& t, const CompiledInstance& plan) {
          const std::vector<uint32_t>& candidates = plan.candidate_bases();
@@ -102,96 +95,48 @@ std::vector<OpScript> Scripts() {
   return ops;
 }
 
-struct OpTiming {
-  double fingerprint = 0.0;
-  double median_ms = 0.0;
-};
-
-/// Times every script under `mode`: one pinned tracker, Reset between runs
-/// (untimed), median over `repeat` after `warmup` discarded runs.
-std::vector<OpTiming> RunMode(const VseInstance& instance, KernelMode mode,
-                              size_t repeat, size_t warmup,
-                              bool* bits_active) {
-  ScopedKernelOverride pin(mode);
+/// Times every script on one tracker, Reset between runs (untimed), median
+/// over `repeat` after `warmup` discarded runs; prints the table and records
+/// one JSON row per op.
+void RunFamily(const char* family, const VseInstance& instance, size_t repeat,
+               size_t warmup, bench::BenchReport* report) {
   DamageTracker tracker(instance);
-  *bits_active = tracker.bit_kernels_active();
   const CompiledInstance& plan = tracker.plan();
-  std::vector<OpTiming> out;
+  std::printf("\n-- %s: ‖V‖=%u candidates=%zu max-fan-in=%u --\n", family,
+              plan.tuple_count(), plan.candidate_bases().size(),
+              plan.max_witnesses_per_tuple());
+
+  bench::FamilyRecord record;
+  record.family = family;
+  record.view_tuples = plan.tuple_count();
+  record.deletion_tuples = instance.TotalDeletionTuples();
+  record.max_arity = instance.max_arity();
+
+  TextTable table({"op", "ms", "fingerprint"});
   for (const OpScript& op : Scripts()) {
-    OpTiming timing;
+    double fingerprint = 0.0;
     std::vector<double> samples;
     for (size_t rep = 0; rep < warmup + repeat; ++rep) {
       tracker.Reset();
       auto [fp, ms] = bench::Timed([&] { return op.run(tracker, plan); });
       if (rep >= warmup) {
         samples.push_back(ms);
-        timing.fingerprint = fp;  // all runs agree: same script, same state
+        fingerprint = fp;  // all runs agree: same script, same state
       }
     }
     tracker.Reset();
-    timing.median_ms = bench::Median(samples);
-    out.push_back(timing);
-  }
-  return out;
-}
-
-/// Runs one family under both pins, prints the A/B table, records JSON rows,
-/// and returns false on any fingerprint divergence.
-bool RunFamily(const char* family, const VseInstance& instance, size_t repeat,
-               size_t warmup, bench::BenchReport* report) {
-  std::shared_ptr<const CompiledInstance> plan = instance.compiled();
-  std::printf("\n-- %s: ‖V‖=%u candidates=%zu max-fan-in=%u packed=%s --\n",
-              family, plan->tuple_count(), plan->candidate_bases().size(),
-              plan->max_witnesses_per_tuple(),
-              plan->bits_supported() ? "yes" : "no (CSR fallback)");
-
-  bool scalar_bits = false;
-  bool bitset_bits = false;
-  std::vector<OpTiming> scalar =
-      RunMode(instance, KernelMode::kScalar, repeat, warmup, &scalar_bits);
-  std::vector<OpTiming> bitset =
-      RunMode(instance, KernelMode::kBitset, repeat, warmup, &bitset_bits);
-
-  bench::FamilyRecord record;
-  record.family = family;
-  record.view_tuples = plan->tuple_count();
-  record.deletion_tuples = instance.TotalDeletionTuples();
-  record.max_arity = instance.max_arity();
-
-  bool ok = true;
-  TextTable table({"op", "scalar ms", "bitset ms", "speedup", "agree"});
-  std::vector<OpScript> ops = Scripts();
-  for (size_t i = 0; i < ops.size(); ++i) {
-    bool agree = scalar[i].fingerprint == bitset[i].fingerprint;
-    ok = ok && agree;
-    double speedup = bitset[i].median_ms > 0.0
-                         ? scalar[i].median_ms / bitset[i].median_ms
-                         : 0.0;
-    char speedup_text[32];
-    std::snprintf(speedup_text, sizeof(speedup_text), "%.2fx", speedup);
-    table.AddRow({ops[i].name, FmtDouble(scalar[i].median_ms, 3),
-                  FmtDouble(bitset[i].median_ms, 3), speedup_text,
-                  agree ? "yes" : "DIVERGED"});
-    for (const char* mode : {"scalar", "bitset"}) {
-      const OpTiming& timing = mode[0] == 's' ? scalar[i] : bitset[i];
-      bench::SolverRecord row;
-      row.solver = std::string(mode) + ":" + ops[i].name;
-      row.status = agree ? "ok" : "DIVERGED";
-      row.cost = timing.fingerprint;
-      row.wall_ms = timing.median_ms;
-      record.solvers.push_back(std::move(row));
-      record.total_ms += timing.median_ms;
-    }
+    double median_ms = bench::Median(samples);
+    table.AddRow({op.name, FmtDouble(median_ms, 3), FmtDouble(fingerprint, 3)});
+    bench::SolverRecord row;
+    row.solver = op.name;
+    row.status = "ok";
+    row.cost = fingerprint;
+    row.wall_ms = median_ms;
+    record.solvers.push_back(std::move(row));
+    record.total_ms += median_ms;
   }
   table.Print();
-  if (bitset_bits == scalar_bits) {
-    std::printf("note: plan not packed — both pins ran the scalar engine\n");
-  }
-  if (!ok) {
-    std::printf("FINGERPRINT DIVERGENCE in family '%s'\n", family);
-  }
   report->families.push_back(std::move(record));
-  return ok;
 }
 
 int Run(int argc, char** argv) {
@@ -213,7 +158,7 @@ int Run(int argc, char** argv) {
   }
   if (repeat == 0) repeat = 1;
 
-  bench::Header("Kill-kernel A/B: scalar counters vs bit-parallel words");
+  bench::Header("Kill-kernel microbench: DamageTracker op scripts");
   std::printf("repeat: %zu  warmup: %zu\n", repeat, warmup);
   bench::BenchReport report;
   report.bench = "kill_kernels";
@@ -222,7 +167,6 @@ int Run(int argc, char** argv) {
   report.repeat = repeat;
   report.warmup = warmup;
 
-  bool ok = true;
   {
     // The scaling family from bench_solver_comparison — the workload where
     // tracker inner loops dominate solver wall-clock.
@@ -234,9 +178,8 @@ int Run(int argc, char** argv) {
     params.deletion_fraction = 0.25;
     Result<GeneratedVse> generated = GeneratePathSchema(rng, params);
     if (!generated.ok()) return 2;
-    ok = RunFamily("large hypertree paths (scaling)", *generated->instance,
-                   repeat, warmup, &report) &&
-         ok;
+    RunFamily("large hypertree paths (scaling)", *generated->instance, repeat,
+              warmup, &report);
   }
   {
     Rng rng(2);
@@ -246,16 +189,12 @@ int Run(int argc, char** argv) {
     params.deletion_fraction = 0.25;
     Result<GeneratedVse> generated = GenerateStarSchema(rng, params);
     if (!generated.ok()) return 2;
-    ok = RunFamily("star joins", *generated->instance, repeat, warmup,
-                   &report) &&
-         ok;
+    RunFamily("star joins", *generated->instance, repeat, warmup, &report);
   }
   {
     Result<GeneratedVse> generated = MakeTrapChain(26);
     if (!generated.ok()) return 2;
-    ok = RunFamily("trap chain", *generated->instance, repeat, warmup,
-                   &report) &&
-         ok;
+    RunFamily("trap chain", *generated->instance, repeat, warmup, &report);
   }
   {
     Rng rng(3);
@@ -265,17 +204,15 @@ int Run(int argc, char** argv) {
     params.queries = 3;
     Result<GeneratedVse> generated = GenerateRandomWorkload(rng, params);
     if (!generated.ok()) return 2;
-    ok = RunFamily("random project-free multi-query", *generated->instance,
-                   repeat, warmup, &report) &&
-         ok;
+    RunFamily("random project-free multi-query", *generated->instance,
+              repeat, warmup, &report);
   }
 
   if (!json_path.empty() && !bench::WriteBenchJson(report, json_path)) {
     return 2;
   }
-  std::printf("\nkill-kernels: %zu family(ies), fingerprints %s\n",
-              report.families.size(), ok ? "agree" : "DIVERGED");
-  return ok ? 0 : 1;
+  std::printf("\nkill-kernels: %zu family(ies)\n", report.families.size());
+  return 0;
 }
 
 }  // namespace

@@ -66,8 +66,8 @@ cmake --build build-bench --target bench_solver_comparison \
   bench_kill_kernels
 ./build-bench/bench/bench_solver_comparison --threads 1 --repeat 5 --warmup 1 \
   --json BENCH_solver_comparison.json
-# Scalar-vs-bitset tracker A/B (docs/perf.md "Bit-parallel kill kernels");
-# exits nonzero if the two kernels' op fingerprints disagree.
+# Kill-kernel microbench (docs/perf.md "Bit-parallel kill kernels"): times
+# the tracker's op scripts; each row's cost is the script's fingerprint.
 ./build-bench/bench/bench_kill_kernels --repeat 5 --warmup 1 \
   --json BENCH_kill_kernels.json
 ./build-bench/bench/bench_substrate_runtime --threads 1 \
@@ -99,20 +99,32 @@ if [ "${DELPROP_SKIP_SANITIZE:-0}" != "1" ]; then
 
   # ThreadSanitizer pass over the concurrent substrate: the runtime tests,
   # the batch engine's tests (its ApplyDelta handoff mutates the instance
-  # its worker replicas share) plus the multi-threaded solver-comparison
-  # bench. A data race in the thread pool, the shared index cache or the
-  # replica handoff fails this step even though the plain build is green.
+  # its worker replicas share), the parallel fuzz and lint engines, plus
+  # the multi-threaded solver-comparison bench. A data race in the thread
+  # pool, the shared index cache, the replica handoff or a per-seed/per-file
+  # result slot fails this step even though the plain build is green.
   cmake -B build-tsan -G Ninja -DDELPROP_SANITIZE=thread
   cmake --build build-tsan --target runtime_test engine_test \
-    engine_determinism_test bench_solver_comparison
+    engine_determinism_test bench_solver_comparison delprop_fuzz \
+    delprop_lint_tool
   # Each binary's own exit status decides (a pipe into tee would hide it).
   : > test_output_tsan.txt
-  for t in runtime_test engine_test engine_determinism_test; do
-    "./build-tsan/tests/$t" >> test_output_tsan.txt 2>&1 || {
-      echo "ThreadSanitizer run failed: $t (see test_output_tsan.txt)" >&2
+  tsan_run() {
+    "$@" >> test_output_tsan.txt 2>&1 || {
+      echo "ThreadSanitizer run failed: $* (see test_output_tsan.txt)" >&2
       exit 1
     }
+  }
+  for t in runtime_test engine_test engine_determinism_test; do
+    tsan_run "./build-tsan/tests/$t"
   done
+  tsan_run ./build-tsan/tools/delprop_fuzz --kernels --seed-start 1 \
+    --iterations 100 --threads 4
+  tsan_run ./build-tsan/tools/delprop_fuzz --mutate --seed-start 1 \
+    --iterations 50 --threads 4
+  tsan_run ./build-tsan/tools/delprop_lint --check --threads 4 \
+    --compile-commands=build-tsan/compile_commands.json \
+    --baseline=lint_baseline.json src tools bench tests
   ./build-tsan/bench/bench_solver_comparison --threads 4 2>&1 \
     | tee -a test_output_tsan.txt
 fi

@@ -86,9 +86,7 @@ void FinishCore(PlanCore* core) {
   }
   core->witness_bit_first = std::move(dedup_first);
 
-  // Row-width statistics + the bit-support verdict. The packed kill masks
-  // index a tuple's witnesses by their offset from tuple_witness_first, so
-  // the bit-parallel path requires every fan-in to fit one 64-bit word.
+  // Row-width statistics.
   uint32_t tuple_count = core->tuple_count();
   core->max_witnesses_per_tuple = 0;
   for (uint32_t t = 0; t < tuple_count; ++t) {
@@ -108,7 +106,6 @@ void FinishCore(PlanCore* core) {
                  core->witness_member_first[wid + 1] -
                      core->witness_member_first[wid]);
   }
-  core->bits_supported = core->max_witnesses_per_tuple <= 64;
 
   // Kill rows: unique view tuples per base, in row order (ascending) —
   // byte-compatible with the legacy kill_map_ (first-witness dedup, (view,
@@ -130,8 +127,7 @@ void FinishCore(PlanCore* core) {
     core->base_kill_first[b + 1] += core->base_kill_first[b];
   }
   core->kill_tuple.resize(core->base_kill_first[base_count]);
-  core->kill_witness_mask.assign(
-      core->bits_supported ? core->kill_tuple.size() : 0, 0);
+  core->kill_witness_mask.assign(core->kill_tuple.size(), 0);
   for (uint32_t b = 0; b < base_count; ++b) {
     uint32_t out = core->base_kill_first[b];
     uint32_t prev = CompiledInstance::kNpos;
@@ -142,10 +138,8 @@ void FinishCore(PlanCore* core) {
         prev = t;
         core->kill_tuple[out++] = t;
       }
-      if (core->bits_supported) {
-        core->kill_witness_mask[out - 1] |=
-            1ull << (core->occ_witness[slot] - core->tuple_witness_first[t]);
-      }
+      uint32_t offset = core->occ_witness[slot] - core->tuple_witness_first[t];
+      if (offset < 64) core->kill_witness_mask[out - 1] |= 1ull << offset;
     }
   }
 }
@@ -578,14 +572,12 @@ std::shared_ptr<const PlanCore> CompiledInstance::PatchCore(
                  out.witness_member_first[wid + 1] -
                      out.witness_member_first[wid]);
   }
-  out.bits_supported = out.max_witnesses_per_tuple <= 64;
 
   // ---- Which base rows are re-derived. A row is copied (ids remapped) when
   // no witness in it changed and every tuple in it kept its witness list, so
   // its kill masks, which index witnesses from tuple_witness_first, still
   // hold. Otherwise it is re-derived: bases of removed or appended witnesses
-  // and of every witness of a tuple whose list changed. When the bit layout
-  // switches on, no old mask exists to copy and every row is re-derived.
+  // and of every witness of a tuple whose list changed.
   std::vector<uint8_t> rederive(base_count, 0);
   auto mark_witness = [&](uint32_t wid) {
     for (uint32_t slot = out.witness_member_first[wid];
@@ -609,9 +601,6 @@ std::shared_ptr<const PlanCore> CompiledInstance::PatchCore(
     if (owner != kNpos) mark_tuple(owner);
   }
   for (const Insertion& insertion : insertions) mark_tuple(insertion.tuple);
-  if (out.bits_supported && !old.bits_supported) {
-    std::fill(rederive.begin(), rederive.end(), 1);
-  }
   if (rows_rederived != nullptr) {
     *rows_rederived =
         dropped.size() +
@@ -635,8 +624,7 @@ std::shared_ptr<const PlanCore> CompiledInstance::PatchCore(
   const size_t kill_bound = old.kill_tuple.size() + fresh.size();
   out.base_kill_first.reserve(static_cast<size_t>(base_count) + 1);
   out.kill_tuple.reserve(kill_bound);
-  if (out.bits_supported) out.kill_witness_mask.reserve(kill_bound);
-  const bool copy_masks = out.bits_supported && old.bits_supported;
+  out.kill_witness_mask.reserve(kill_bound);
   auto to_tuple = [&](uint32_t t, size_t) { return tuple_remap[t]; };
   std::vector<Occurrence> row;
   size_t fi = 0;
@@ -676,12 +664,9 @@ std::shared_ptr<const PlanCore> CompiledInstance::PatchCore(
                      });
       AppendRemapped(out.kill_tuple, old.kill_tuple, kill_first, kill_last,
                      to_tuple);
-      if (copy_masks) {
-        out.kill_witness_mask.insert(
-            out.kill_witness_mask.end(),
-            old.kill_witness_mask.begin() + kill_first,
-            old.kill_witness_mask.begin() + kill_last);
-      }
+      out.kill_witness_mask.insert(out.kill_witness_mask.end(),
+                                   old.kill_witness_mask.begin() + kill_first,
+                                   old.kill_witness_mask.begin() + kill_last);
       nb += len;
       continue;
     }
@@ -715,12 +700,10 @@ std::shared_ptr<const PlanCore> CompiledInstance::PatchCore(
       if (occ.tuple != prev) {
         prev = occ.tuple;
         out.kill_tuple.push_back(occ.tuple);
-        if (out.bits_supported) out.kill_witness_mask.push_back(0);
+        out.kill_witness_mask.push_back(0);
       }
-      if (out.bits_supported) {
-        out.kill_witness_mask.back() |=
-            1ull << (occ.witness - out.tuple_witness_first[occ.tuple]);
-      }
+      uint32_t offset = occ.witness - out.tuple_witness_first[occ.tuple];
+      if (offset < 64) out.kill_witness_mask.back() |= 1ull << offset;
     }
     ++nb;
   }

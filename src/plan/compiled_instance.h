@@ -47,15 +47,15 @@ struct PlanCore {
   std::vector<uint32_t> occ_hit_bit;        // per occ slot, ascending per row
   // Per kill entry: witness-incidence mask of the owning base within the
   // killed tuple — bit j set iff witness (tuple_witness_first[t] + j)
-  // contains the base. Only emitted when `bits_supported` (every tuple's
-  // witness fan-in fits one word); wide-fan-in plans keep the scalar CSR.
+  // contains the base, for j < 64. Tuples with more than 64 witnesses keep
+  // only their first 64 offsets here; the kernels answer them from the
+  // occurrence rows instead.
   std::vector<uint64_t> kill_witness_mask;  // parallel to kill_tuple
-  // Row-width statistics: drive the per-plan kernel dispatch and the exact
-  // solver's branch short-circuit.
+  // Row-width statistics: drive the fan-in-1 kernel specialisation and the
+  // exact solver's branch short-circuit.
   uint32_t max_witnesses_per_tuple = 0;
   uint32_t max_witness_members = 0;      // widest deduped member row
   uint32_t min_witness_raw_members = 0;  // narrowest raw member row
-  bool bits_supported = false;           // kill_witness_mask emitted
 
   uint32_t tuple_count() const { return static_cast<uint32_t>(weight.size()); }
   uint32_t witness_count() const {
@@ -257,8 +257,8 @@ class CompiledInstance {
   }
   uint32_t kill_tuple(uint32_t slot) const { return core_->kill_tuple[slot]; }
   /// Witness-incidence mask of kill entry `slot` within its killed tuple
-  /// (bit j ⇔ witness tuple_witness_begin(t)+j contains the base). Only
-  /// valid when `bits_supported()`.
+  /// (bit j ⇔ witness tuple_witness_begin(t)+j contains the base; only the
+  /// first 64 witnesses of a wider tuple are represented).
   uint64_t kill_witness_mask(uint32_t slot) const {
     return core_->kill_witness_mask[slot];
   }
@@ -278,9 +278,6 @@ class CompiledInstance {
   /// Total size of the packed member-hit bit space (one bit per unique
   /// member of each witness).
   uint32_t hit_bit_count() const { return core_->witness_bit_first.back(); }
-  /// True when every tuple's witness fan-in fits one 64-bit word, i.e. the
-  /// kill masks were emitted and the bit-parallel tracker path may bind.
-  bool bits_supported() const { return core_->bits_supported; }
   uint32_t max_witnesses_per_tuple() const {
     return core_->max_witnesses_per_tuple;
   }

@@ -240,8 +240,7 @@ bool SameCore(const PlanCore& a, const PlanCore& b) {
          a.kill_witness_mask == b.kill_witness_mask &&
          a.max_witnesses_per_tuple == b.max_witnesses_per_tuple &&
          a.max_witness_members == b.max_witness_members &&
-         a.min_witness_raw_members == b.min_witness_raw_members &&
-         a.bits_supported == b.bits_supported;
+         a.min_witness_raw_members == b.min_witness_raw_members;
 }
 
 /// Derived state of `live` (kill map, unique-witness flag, compiled core and

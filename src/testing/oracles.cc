@@ -10,11 +10,8 @@
 #include "dp/solver.h"
 #include "ilp/ilp_solver.h"
 #include "plan/compiled_instance.h"
-#include "solvers/damage_tracker.h"
 #include "solvers/exact_solver.h"
 #include "solvers/greedy_solver.h"
-#include "solvers/kill_kernels.h"
-#include "solvers/local_search_solver.h"
 #include "solvers/solver_registry.h"
 #include "testing/reference_eval.h"
 #include "tool/script.h"
@@ -345,216 +342,6 @@ void CheckPlanGreedyDifferential(const VseInstance& instance,
   }
 }
 
-/// bitset-vs-scalar: drives a scalar-pinned and a bitset-pinned
-/// DamageTracker through one deterministic op script — delete, marginal,
-/// drop-probe, undelete, reset, collect/swap probes — and demands bitwise
-/// equality on every return value, aggregate, and per-witness/per-tuple
-/// observation (== on doubles: the packed path promises byte-identity, not
-/// epsilon-closeness). Then re-runs the tracker-backed solvers under each
-/// pin and compares whole solutions. Plans whose witness fan-in exceeds one
-/// word only verify the bitset pin falls back to scalar.
-void CheckKernelDifferential(const VseInstance& instance,
-                             const OracleOptions& options,
-                             std::vector<OracleViolation>* out) {
-  if (instance.TotalDeletionTuples() == 0) return;
-  std::shared_ptr<const CompiledInstance> plan = instance.compiled();
-  auto mismatch = [&](const std::string& what) {
-    out->push_back({"kernel-differential:tracker", what});
-  };
-
-  std::optional<DamageTracker> scalar_opt;
-  std::optional<DamageTracker> bits_opt;
-  {
-    kernels::ScopedKernelOverride pin(kernels::KernelMode::kScalar);
-    scalar_opt.emplace(instance);
-  }
-  {
-    kernels::ScopedKernelOverride pin(kernels::KernelMode::kBitset);
-    bits_opt.emplace(instance);
-  }
-  DamageTracker& scalar = *scalar_opt;
-  DamageTracker& bits = *bits_opt;
-  if (scalar.bit_kernels_active()) {
-    mismatch("scalar pin ignored: tracker bound the bit kernels anyway");
-    return;
-  }
-  if (!plan->bits_supported()) {
-    if (bits.bit_kernels_active()) {
-      mismatch("bit kernels bound to an unsupported plan (fan-in " +
-               std::to_string(plan->max_witnesses_per_tuple()) + " > 64)");
-    }
-    return;  // scalar-only plan: nothing to differentiate
-  }
-  if (!bits.bit_kernels_active()) {
-    mismatch("bitset pin ignored on a supported plan");
-    return;
-  }
-
-  // Full-state comparison at phase boundaries; per-op checks stay O(1).
-  auto compare_state = [&](const char* phase) -> bool {
-    if (scalar.unkilled_deletion_count() != bits.unkilled_deletion_count() ||
-        scalar.killed_preserved_weight() != bits.killed_preserved_weight() ||
-        scalar.surviving_deletion_weight() !=
-            bits.surviving_deletion_weight()) {
-      mismatch(std::string(phase) + ": aggregates diverge (unkilled " +
-               std::to_string(scalar.unkilled_deletion_count()) + " vs " +
-               std::to_string(bits.unkilled_deletion_count()) + ", kpw " +
-               FormatCost(scalar.killed_preserved_weight()) + " vs " +
-               FormatCost(bits.killed_preserved_weight()) + ")");
-      return false;
-    }
-    for (uint32_t w = 0; w < plan->witness_count(); ++w) {
-      if (scalar.witness_hits(w) != bits.witness_hits(w)) {
-        mismatch(std::string(phase) + ": witness " + std::to_string(w) +
-                 " hits " + std::to_string(scalar.witness_hits(w)) + " vs " +
-                 std::to_string(bits.witness_hits(w)));
-        return false;
-      }
-    }
-    for (uint32_t d = 0; d < plan->tuple_count(); ++d) {
-      if (scalar.IsKilledDense(d) != bits.IsKilledDense(d) ||
-          scalar.dead_witness_count(d) != bits.dead_witness_count(d) ||
-          scalar.FirstUnhitWitness(d) != bits.FirstUnhitWitness(d)) {
-        mismatch(std::string(phase) + ": tuple " + std::to_string(d) +
-                 " kill state diverges (killed " +
-                 std::to_string(scalar.IsKilledDense(d)) + " vs " +
-                 std::to_string(bits.IsKilledDense(d)) + ")");
-        return false;
-      }
-    }
-    return true;
-  };
-
-  const std::vector<uint32_t>& candidates = plan->candidate_bases();
-  // Phase 1: delete every candidate, checking the marginal first.
-  for (uint32_t base : candidates) {
-    double ms = scalar.MarginalDamageBase(base);
-    double mb = bits.MarginalDamageBase(base);
-    if (ms != mb) {
-      mismatch("marginal of base " + std::to_string(base) + ": " +
-               FormatCost(ms) + " vs " + FormatCost(mb));
-      return;
-    }
-    double ds = scalar.DeleteBase(base);
-    double db = bits.DeleteBase(base);
-    if (ds != db) {
-      mismatch("DeleteBase(" + std::to_string(base) + ") returned " +
-               FormatCost(ds) + " vs " + FormatCost(db));
-      return;
-    }
-  }
-  if (!compare_state("all-deleted")) return;
-
-  // Phase 2: droppability probes, then undelete every other candidate
-  // (reverse order) so re-kill paths run against a mixed state.
-  for (uint32_t base : candidates) {
-    if (scalar.CanDropBase(base) != bits.CanDropBase(base)) {
-      mismatch("CanDropBase(" + std::to_string(base) + ") diverges");
-      return;
-    }
-  }
-  for (size_t i = candidates.size(); i-- > 0;) {
-    if (i % 2 == 0) continue;
-    scalar.UndeleteBase(candidates[i]);
-    bits.UndeleteBase(candidates[i]);
-  }
-  if (!compare_state("half-undeleted")) return;
-
-  // Phase 3: batch marginals over every candidate in the mixed state.
-  std::vector<double> batch_scalar;
-  std::vector<double> batch_bits;
-  scalar.MarginalDamageAll(candidates, &batch_scalar);
-  bits.MarginalDamageAll(candidates, &batch_bits);
-  if (batch_scalar != batch_bits) {
-    mismatch("MarginalDamageAll diverges in the mixed state");
-    return;
-  }
-
-  // Phase 4: sparse reset must restore the pristine state on both paths.
-  scalar.Reset();
-  bits.Reset();
-  if (!compare_state("after-reset")) return;
-
-  // Phase 5: rebuild a feasible-ish state, then exercise the exchange
-  // probes: undelete one base, collect its revived ΔV tuples, and ask every
-  // candidate whether swapping it in would improve.
-  for (uint32_t base : candidates) {
-    scalar.DeleteBase(base);
-    bits.DeleteBase(base);
-  }
-  std::vector<uint32_t> revived_scalar;
-  std::vector<uint32_t> revived_bits;
-  for (uint32_t base : candidates) {
-    scalar.UndeleteBase(base);
-    bits.UndeleteBase(base);
-    scalar.CollectUnkilledDeletions(base, &revived_scalar);
-    bits.CollectUnkilledDeletions(base, &revived_bits);
-    if (revived_scalar != revived_bits) {
-      mismatch("CollectUnkilledDeletions(" + std::to_string(base) +
-               ") diverges");
-      return;
-    }
-    double budget = scalar.killed_preserved_weight() + 1.0;
-    for (uint32_t in : candidates) {
-      if (scalar.IsDeletedBase(in)) continue;
-      if (scalar.SwapWouldImprove(in, revived_scalar, budget) !=
-          bits.SwapWouldImprove(in, revived_bits, budget)) {
-        mismatch("SwapWouldImprove(" + std::to_string(in) + ", out=" +
-                 std::to_string(base) + ") diverges");
-        return;
-      }
-    }
-    scalar.DeleteBase(base);
-    bits.DeleteBase(base);
-  }
-  if (!compare_state("after-probes")) return;
-
-  // Solver-level A/B: whole solutions must be byte-identical under either
-  // pin. Exact search and the ILP ride the same candidate gate as the
-  // exact-optimum oracles.
-  auto compare_solver = [&](VseSolver& solver) {
-    std::optional<VseSolution> s;
-    std::optional<VseSolution> b;
-    {
-      kernels::ScopedKernelOverride pin(kernels::KernelMode::kScalar);
-      Result<VseSolution> result = solver.Solve(instance);
-      if (result.ok()) s = std::move(*result);
-    }
-    {
-      kernels::ScopedKernelOverride pin(kernels::KernelMode::kBitset);
-      Result<VseSolution> result = solver.Solve(instance);
-      if (result.ok()) b = std::move(*result);
-    }
-    if (s.has_value() != b.has_value()) {
-      out->push_back({"kernel-differential:" + solver.name(),
-                      "one kernel pin failed where the other succeeded"});
-      return;
-    }
-    if (!s.has_value()) return;
-    if (s->deletion.Sorted() != b->deletion.Sorted() ||
-        s->Cost() != b->Cost()) {
-      out->push_back({"kernel-differential:" + solver.name(),
-                      "solutions diverge: scalar |ΔD|=" +
-                          std::to_string(s->deletion.size()) + " cost " +
-                          FormatCost(s->Cost()) + ", bitset |ΔD|=" +
-                          std::to_string(b->deletion.size()) + " cost " +
-                          FormatCost(b->Cost())});
-    }
-  };
-  GreedySolver greedy;
-  compare_solver(greedy);
-  LocalSearchSolver local_search;
-  compare_solver(local_search);
-  if (instance.CandidateTuples().size() <= options.max_candidates_for_exact) {
-    ExactSolver exact(options.exact_node_budget);
-    compare_solver(exact);
-    IlpOptions ilp_options;
-    ilp_options.node_budget = options.exact_node_budget;
-    IlpSolver ilp(Objective::kStandard, ilp_options);
-    compare_solver(ilp);
-  }
-}
-
 struct SolverOutcome {
   bool ran = false;  // ok result (refusals and budget exhaustion stay false)
   VseSolution solution;
@@ -611,20 +398,13 @@ SolverOutcome RunSolver(VseSolver& solver, const VseInstance& instance,
 std::vector<std::string> OracleNames() {
   return {"evaluator-crosscheck", "serialize-roundtrip",
           "plan-roundtrip",       "plan-greedy",
-          "kernel-differential",  "solver-error",
+          "tracker-vs-scratch",   "solver-error",
           "feasible",             "report-consistency",
           "cost-vs-exact",        "dp-tree-exact",
           "dp-tree-balanced-exact", "ratio-primal-dual",
           "ratio-lowdeg",         "ratio-claim1",
           "balanced-cost-vs-exact", "ilp-vs-exact",
           "ilp-bound-sandwich"};
-}
-
-std::vector<OracleViolation> CheckKernelOracle(const VseInstance& instance,
-                                               const OracleOptions& options) {
-  std::vector<OracleViolation> violations;
-  CheckKernelDifferential(instance, options, &violations);
-  return violations;
 }
 
 std::vector<OracleViolation> CheckOracles(const VseInstance& instance,
@@ -637,7 +417,9 @@ std::vector<OracleViolation> CheckOracles(const VseInstance& instance,
   }
   CheckPlanRoundTrip(instance, &violations);
   CheckPlanGreedyDifferential(instance, &violations);
-  CheckKernelDifferential(instance, options, &violations);
+  for (OracleViolation& v : CheckKernelOracle(instance)) {
+    violations.push_back(std::move(v));
+  }
 
   // Every approximation solver must produce a feasible, internally consistent
   // solution whether or not the exact optimum is computable.

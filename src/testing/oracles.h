@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "dp/vse_instance.h"
+#include "solvers/damage_tracker.h"
 
 namespace delprop {
 namespace testing {
@@ -61,10 +62,10 @@ std::vector<std::string> OracleNames();
 ///  * plan-greedy — GreedySolver on the compiled plan returns a deletion set
 ///    byte-identical to the same algorithm replayed with DeletionSet +
 ///    lineage recomputation and no dense ids;
-///  * kernel-differential — a scalar-pinned and a bitset-pinned
-///    DamageTracker agree bitwise on every delete/undelete/marginal/probe
-///    in a deterministic op script, and the tracker-backed solvers return
-///    byte-identical solutions under either kernel pin;
+///  * tracker-vs-scratch — a DamageTracker driven through a deterministic
+///    op script agrees with a from-scratch recount and EvaluateDeletion at
+///    every phase, and each read-only probe equals, bitwise, a real
+///    mutation of the same tracker (CheckKernelOracle);
 ///  * solver-error:<s> — a solver failed with an unexpected status code
 ///    (FailedPrecondition refusals and budget exhaustion are expected);
 ///  * feasible:<s> — a standard-objective solution does not eliminate ΔV
@@ -82,12 +83,25 @@ std::vector<std::string> OracleNames();
 std::vector<OracleViolation> CheckOracles(const VseInstance& instance,
                                           const OracleOptions& options = {});
 
-/// Runs only the `kernel-differential` oracle — the scalar-vs-bitset
-/// lockstep over trackers and tracker-backed solvers. Backs the fast
-/// `delprop_fuzz --kernels` sweep (tier-1 `kernel_smoke`), which covers many
-/// seeds without paying for the exponential oracles.
-std::vector<OracleViolation> CheckKernelOracle(const VseInstance& instance,
-                                               const OracleOptions& options = {});
+/// Runs only the `tracker-vs-scratch` oracle: one DamageTracker goes
+/// through a deterministic op script (delete sweep, mixed undeletes, reset,
+/// exchange probes). At each phase every per-witness and per-tuple
+/// observation is compared with a recount from the plan's member rows, the
+/// killed and surviving sets with EvaluateDeletion (aggregate weights
+/// within 1e-9 relative, as its summation order differs), the branch pick
+/// with the literal nested scan, and MarginalDamageBase, KpwAfterDeleteBase,
+/// CanDropBase and SwapWouldImprove with a real delete → read → undelete
+/// (== on doubles). Backs the fast `delprop_fuzz --kernels` sweep (tier-1
+/// `kernel_smoke`), which covers many seeds without paying for the
+/// exponential oracles.
+std::vector<OracleViolation> CheckKernelOracle(const VseInstance& instance);
+
+/// The recount half of that oracle at the tracker's current state: returns
+/// the first disagreement between `tracker` and a from-scratch recount of
+/// its deletion (or EvaluateDeletion), or "" when they agree. Non-const
+/// only because the branch pick builds its index lazily.
+std::string DiffTrackerAgainstScratch(const VseInstance& instance,
+                                      DamageTracker& tracker);
 
 }  // namespace testing
 }  // namespace delprop

@@ -87,7 +87,6 @@ class ApplyDeltaTest : public ::testing::Test {
     EXPECT_EQ(a.max_witnesses_per_tuple, b.max_witnesses_per_tuple);
     EXPECT_EQ(a.max_witness_members, b.max_witness_members);
     EXPECT_EQ(a.min_witness_raw_members, b.min_witness_raw_members);
-    EXPECT_EQ(a.bits_supported, b.bits_supported);
     EXPECT_EQ(instance().compiled()->deletion_dense(),
               shadow.compiled()->deletion_dense());
     EXPECT_EQ(instance().compiled()->candidate_bases(),
@@ -393,10 +392,9 @@ TEST_F(ApplyDeltaTest, BulkInsertNamesTheRepeatedKeyAtItsEnd) {
             rows_before + kInserts);
 }
 
-// The packed kill masks exist only while every tuple's witness fan-in fits
-// one 64-bit word. A patch that pushes a tuple past 64 witnesses must drop
-// them; one that brings it back to 64 or fewer has no old masks to copy and
-// re-derives every row. Both must still match a from-scratch build.
+// A kill mask holds a tuple's first 64 witness offsets. A patch that pushes
+// a tuple past 64 witnesses, one that brings it back to 63, and one that
+// lands on exactly 64 must each match a from-scratch build.
 TEST_F(ApplyDeltaTest, PatchFollowsTheBitLayoutAcrossSixtyFourWitnesses) {
   GeneratedVse built;
   built.database = std::make_unique<Database>();
@@ -419,28 +417,28 @@ TEST_F(ApplyDeltaTest, PatchFollowsTheBitLayoutAcrossSixtyFourWitnesses) {
   built.instance = std::make_unique<VseInstance>(std::move(*created));
   generated_ = std::move(built);
   ASSERT_TRUE(instance().MarkForDeletion(ViewTupleId{0, 1}).ok());
-  ASSERT_TRUE(instance().compiled()->bits_supported());
+  ASSERT_EQ(instance().compiled()->max_witnesses_per_tuple(), 64u);
 
-  auto apply = [&](const BaseDelta& delta, bool bits_after) {
+  auto apply = [&](const BaseDelta& delta, uint32_t fan_in_after) {
     ApplyDeltaReport report;
     ASSERT_TRUE(instance().ApplyDelta(db(), delta, {}, &report).ok());
     EXPECT_TRUE(report.core_patched);
-    EXPECT_EQ(instance().compiled()->bits_supported(), bits_after);
+    EXPECT_EQ(instance().compiled()->max_witnesses_per_tuple(), fan_in_after);
     ExpectMatchesReindex();
   };
-  BaseDelta grow;  // Q(hot) reaches 65 witnesses: masks dropped.
+  BaseDelta grow;  // Q(hot) reaches 65 witnesses.
   grow.inserts.push_back(BaseInsert{
       a, {db().dict().Intern("k64"), db().dict().Intern("hot")}});
-  apply(grow, false);
-  BaseDelta shrink;  // back to 63: masks re-derived for every row.
+  apply(grow, 65);
+  BaseDelta shrink;  // back to 63.
   shrink.deletes.push_back(TupleRef{a, 3});
   shrink.deletes.push_back(TupleRef{a, 40});
-  apply(shrink, true);
+  apply(shrink, 63);
   BaseDelta steady;  // 64 again, masks copied where untouched.
   steady.inserts.push_back(BaseInsert{
       a, {db().dict().Intern("k65"), db().dict().Intern("hot")}});
   steady.deletes.push_back(TupleRef{a, 64});  // the cold row
-  apply(steady, true);
+  apply(steady, 64);
 }
 
 // The insert join's work is local: one new leaf under a live parent walks up

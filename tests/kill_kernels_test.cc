@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -11,15 +11,14 @@
 #include "query/parser.h"
 #include "relational/database.h"
 #include "solvers/damage_tracker.h"
+#include "solvers/exact_solver.h"
 #include "solvers/greedy_solver.h"
 #include "solvers/kill_kernels.h"
 #include "solvers/local_search_solver.h"
+#include "testing/oracles.h"
 
 namespace delprop {
 namespace {
-
-using kernels::KernelMode;
-using kernels::ScopedKernelOverride;
 
 // ---------------------------------------------------------------------------
 // Word primitives across the boundaries that matter: 63/64/65/127/128.
@@ -70,20 +69,6 @@ TEST(KernelPrimitivesTest, RangeOpsAtEveryWidth) {
   }
 }
 
-TEST(KernelPrimitivesTest, ScopedOverrideNestsAndRestores) {
-  KernelMode ambient = kernels::RequestedKernelMode();
-  {
-    ScopedKernelOverride outer(KernelMode::kScalar);
-    EXPECT_EQ(kernels::RequestedKernelMode(), KernelMode::kScalar);
-    {
-      ScopedKernelOverride inner(KernelMode::kBitset);
-      EXPECT_EQ(kernels::RequestedKernelMode(), KernelMode::kBitset);
-    }
-    EXPECT_EQ(kernels::RequestedKernelMode(), KernelMode::kScalar);
-  }
-  EXPECT_EQ(kernels::RequestedKernelMode(), ambient);
-}
-
 // ---------------------------------------------------------------------------
 // Witness fan-in at the one-word boundary. Q(x) :- R(x, y), S(y) over rows
 // ("h", y_i) / ("p", y_i) / S(y_i) yields two view tuples with `n` witnesses
@@ -127,129 +112,122 @@ FanInCase BuildFanIn(uint32_t n) {
   return c;
 }
 
-/// Scalar/bitset lockstep over one fan-in case: per-op bitwise comparison of
-/// marginals, deltas, aggregates, probes; both paths must agree at every
-/// step whether or not the plan supports the packed layout.
-void RunLockstep(const FanInCase& c, bool expect_bits) {
-  std::optional<DamageTracker> scalar;
-  std::optional<DamageTracker> bits;
-  {
-    ScopedKernelOverride pin(KernelMode::kScalar);
-    scalar.emplace(*c.instance);
-  }
-  {
-    ScopedKernelOverride pin(KernelMode::kBitset);
-    bits.emplace(*c.instance);
-  }
-  EXPECT_FALSE(scalar->bit_kernels_active());
-  EXPECT_EQ(bits->bit_kernels_active(), expect_bits);
-  EXPECT_EQ(c.instance->compiled()->bits_supported(), expect_bits);
-
+/// One tracker driven through a fan-in case, checked after every step
+/// against a from-scratch recount (testing::DiffTrackerAgainstScratch) and
+/// every marginal against the real delete it predicts; then the whole
+/// tracker-vs-scratch op script. Past 64 witnesses every marginal goes
+/// through the kernels' cold wide-tuple path.
+void RunAgainstScratch(const FanInCase& c) {
+  DamageTracker tracker(*c.instance);
+  EXPECT_EQ(c.instance->compiled()->max_witnesses_per_tuple(),
+            c.s_rows.size());
   auto agree = [&](const char* when) {
-    ASSERT_EQ(scalar->unkilled_deletion_count(),
-              bits->unkilled_deletion_count())
+    ASSERT_EQ(testing::DiffTrackerAgainstScratch(*c.instance, tracker), "")
         << when;
-    ASSERT_EQ(scalar->killed_preserved_weight(),
-              bits->killed_preserved_weight())
-        << when;
-    const CompiledInstance& plan = scalar->plan();
-    for (uint32_t w = 0; w < plan.witness_count(); ++w) {
-      ASSERT_EQ(scalar->witness_hits(w), bits->witness_hits(w))
-          << when << " witness " << w;
-    }
-    for (uint32_t d = 0; d < plan.tuple_count(); ++d) {
-      ASSERT_EQ(scalar->IsKilledDense(d), bits->IsKilledDense(d))
-          << when << " tuple " << d;
-      ASSERT_EQ(scalar->dead_witness_count(d), bits->dead_witness_count(d))
-          << when << " tuple " << d;
-      ASSERT_EQ(scalar->FirstUnhitWitness(d), bits->FirstUnhitWitness(d))
-          << when << " tuple " << d;
-    }
   };
   agree("initial");
-  EXPECT_EQ(scalar->unkilled_deletion_count(), 1u);
+  EXPECT_EQ(tracker.unkilled_deletion_count(), 1u);
 
   // Kill via the shared S rows: the i-th delete hits witness i of both view
   // tuples; the final one kills both at once, with the preserved weight
-  // crossing from 0 to 1 on both paths in the same step.
+  // crossing from 0 to 1 in that step.
   for (size_t i = 0; i < c.s_rows.size(); ++i) {
-    ASSERT_EQ(scalar->MarginalDamage(c.s_rows[i]),
-              bits->MarginalDamage(c.s_rows[i]))
-        << "marginal before delete " << i;
-    ASSERT_EQ(scalar->Delete(c.s_rows[i]), bits->Delete(c.s_rows[i]))
-        << "delete " << i;
+    double marginal = tracker.MarginalDamage(c.s_rows[i]);
+    ASSERT_EQ(tracker.Delete(c.s_rows[i]), marginal) << "delete " << i;
+    ASSERT_EQ(marginal, i + 1 == c.s_rows.size() ? 1.0 : 0.0) << i;
   }
   agree("all S deleted");
-  EXPECT_EQ(scalar->unkilled_deletion_count(), 0u);
-  EXPECT_EQ(scalar->killed_preserved_weight(), 1.0);
+  EXPECT_EQ(tracker.unkilled_deletion_count(), 0u);
+  EXPECT_EQ(tracker.killed_preserved_weight(), 1.0);
 
   // All rows dead: every further marginal is zero, and no S row is
   // droppable (each is the sole deleted member of its witness pair).
   for (const TupleRef& r : c.r_rows) {
-    ASSERT_EQ(scalar->MarginalDamage(r), bits->MarginalDamage(r));
-    ASSERT_EQ(scalar->MarginalDamage(r), 0.0);
+    ASSERT_EQ(tracker.MarginalDamage(r), 0.0);
   }
-  const CompiledInstance& plan = scalar->plan();
+  const CompiledInstance& plan = tracker.plan();
   for (const TupleRef& s : c.s_rows) {
     uint32_t base = plan.FindBase(s);
     ASSERT_NE(base, CompiledInstance::kNpos);
-    ASSERT_EQ(scalar->CanDropBase(base), bits->CanDropBase(base));
-    EXPECT_FALSE(scalar->CanDropBase(base));
+    EXPECT_FALSE(tracker.CanDropBase(base));
   }
 
   // Undelete the even rows; the re-kill path must agree too.
   for (size_t i = 0; i < c.s_rows.size(); i += 2) {
-    scalar->Undelete(c.s_rows[i]);
-    bits->Undelete(c.s_rows[i]);
+    tracker.Undelete(c.s_rows[i]);
   }
   agree("half undeleted");
   for (size_t i = 0; i < c.s_rows.size(); i += 2) {
-    ASSERT_EQ(scalar->Delete(c.s_rows[i]), bits->Delete(c.s_rows[i]));
+    double marginal = tracker.MarginalDamage(c.s_rows[i]);
+    ASSERT_EQ(tracker.Delete(c.s_rows[i]), marginal) << "re-delete " << i;
   }
   agree("re-deleted");
 
-  scalar->Reset();
-  bits->Reset();
+  tracker.Reset();
   agree("after reset");
-  EXPECT_EQ(scalar->unkilled_deletion_count(), 1u);
-  EXPECT_EQ(scalar->killed_preserved_weight(), 0.0);
+  EXPECT_EQ(tracker.unkilled_deletion_count(), 1u);
+  EXPECT_EQ(tracker.killed_preserved_weight(), 0.0);
+
+  std::vector<testing::OracleViolation> violations =
+      testing::CheckKernelOracle(*c.instance);
+  for (const testing::OracleViolation& v : violations) {
+    ADD_FAILURE() << v.oracle << ": " << v.detail;
+  }
 }
 
-TEST(KernelFanInTest, Width63) { RunLockstep(BuildFanIn(63), true); }
-TEST(KernelFanInTest, Width64) { RunLockstep(BuildFanIn(64), true); }
+TEST(KernelFanInTest, Width63) { RunAgainstScratch(BuildFanIn(63)); }
+TEST(KernelFanInTest, Width64) { RunAgainstScratch(BuildFanIn(64)); }
+TEST(KernelFanInTest, Width65) { RunAgainstScratch(BuildFanIn(65)); }
+TEST(KernelFanInTest, Width127) { RunAgainstScratch(BuildFanIn(127)); }
+TEST(KernelFanInTest, Width128) { RunAgainstScratch(BuildFanIn(128)); }
+TEST(KernelFanInTest, Width129) { RunAgainstScratch(BuildFanIn(129)); }
 
-TEST(KernelFanInTest, Width65FallsBackToScalar) {
-  FanInCase c = BuildFanIn(65);
-  EXPECT_FALSE(c.instance->compiled()->bits_supported());
-  EXPECT_EQ(c.instance->compiled()->max_witnesses_per_tuple(), 65u);
-  // The lockstep still runs — both pins resolve to the scalar engine.
-  RunLockstep(c, false);
+/// The y indices whose S(y) row local search deletes on BuildFanIn(n); every
+/// other y is covered by deleting R("h", y). Recorded from the solvers
+/// before the wide-tuple kernels existed, when tuples past 64 witnesses
+/// ran on a separate per-witness counter path.
+const std::vector<uint32_t> kLocalSearchS65 = {
+    3,  5,  6,  7,  16, 17, 18, 19, 20, 21, 23, 24, 25, 26, 30, 32,
+    33, 35, 36, 38, 39, 40, 41, 42, 44, 45, 49, 50, 55, 57, 62};
+const std::vector<uint32_t> kLocalSearchS128 = {
+    3,   5,   6,   7,   16,  17,  18,  19,  20,  21,  23,  24,  25,  26,  30,
+    32,  33,  35,  36,  38,  39,  40,  41,  42,  44,  45,  49,  50,  55,  57,
+    62,  70,  72,  73,  74,  76,  80,  82,  84,  86,  87,  90,  91,  100, 101,
+    102, 103, 106, 107, 108, 109, 110, 115, 118, 119, 121, 122, 124, 125, 127};
+
+/// Expected sorted deletion: S(y) for y in `s_indices`, R("h", y) otherwise.
+std::vector<TupleRef> FanInDeletion(const FanInCase& c,
+                                    const std::vector<uint32_t>& s_indices) {
+  std::vector<TupleRef> out;
+  for (uint32_t y = 0; y < c.s_rows.size(); ++y) {
+    bool via_s = std::find(s_indices.begin(), s_indices.end(), y) !=
+                 s_indices.end();
+    out.push_back(via_s ? c.s_rows[y] : c.r_rows[y]);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 TEST(KernelFanInTest, SolversMatchAcrossKernelsAtBoundaryWidths) {
-  for (uint32_t n : {63u, 64u, 65u}) {
+  for (uint32_t n : {65u, 128u}) {
     FanInCase c = BuildFanIn(n);
+    const std::vector<uint32_t>& ls_s =
+        n == 65 ? kLocalSearchS65 : kLocalSearchS128;
     GreedySolver greedy;
     LocalSearchSolver local_search;
-    for (VseSolver* solver :
-         std::initializer_list<VseSolver*>{&greedy, &local_search}) {
-      std::optional<VseSolution> s;
-      std::optional<VseSolution> b;
-      {
-        ScopedKernelOverride pin(KernelMode::kScalar);
-        Result<VseSolution> r = solver->Solve(*c.instance);
-        ASSERT_TRUE(r.ok()) << r.status().ToString();
-        s = std::move(*r);
-      }
-      {
-        ScopedKernelOverride pin(KernelMode::kBitset);
-        Result<VseSolution> r = solver->Solve(*c.instance);
-        ASSERT_TRUE(r.ok()) << r.status().ToString();
-        b = std::move(*r);
-      }
-      EXPECT_EQ(s->deletion.Sorted(), b->deletion.Sorted())
-          << solver->name() << " at width " << n;
-      EXPECT_EQ(s->Cost(), b->Cost()) << solver->name() << " at width " << n;
+    ExactSolver exact;
+    struct Expected {
+      VseSolver* solver;
+      std::vector<TupleRef> deletion;
+    };
+    for (const Expected& e : {Expected{&greedy, FanInDeletion(c, {})},
+                              Expected{&local_search, FanInDeletion(c, ls_s)},
+                              Expected{&exact, FanInDeletion(c, {})}}) {
+      Result<VseSolution> r = e.solver->Solve(*c.instance);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_EQ(r->deletion.Sorted(), e.deletion)
+          << e.solver->name() << " at width " << n;
+      EXPECT_EQ(r->Cost(), 0.0) << e.solver->name() << " at width " << n;
     }
   }
 }
@@ -276,9 +254,7 @@ TEST(KernelSingleMemberTest, EachDeleteKillsExactlyOneWitness) {
   ASSERT_TRUE(instance.ok());
   ASSERT_TRUE(instance->MarkForDeletionByValues(0, {"h"}).ok());
 
-  ScopedKernelOverride pin(KernelMode::kBitset);
   DamageTracker tracker(*instance);
-  ASSERT_TRUE(tracker.bit_kernels_active());
   uint32_t dense = tracker.plan().deletion_dense()[0];
   for (uint32_t i = 0; i < 64; ++i) {
     EXPECT_EQ(tracker.dead_witness_count(dense), i);
@@ -333,50 +309,47 @@ TEST(KernelRegressionTest, ForeignRefsStayBoundedAndExact) {
 }
 
 TEST(KernelRegressionTest, ResetRestoresPristineStateSparselyAndAfterOverflow) {
-  for (KernelMode mode : {KernelMode::kScalar, KernelMode::kBitset}) {
-    FanInCase c = BuildFanIn(32);
-    ScopedKernelOverride pin(mode);
-    DamageTracker tracker(*c.instance);
-    DamageTracker fresh(*c.instance);
-    auto expect_pristine = [&](const char* when) {
-      const CompiledInstance& plan = tracker.plan();
-      ASSERT_EQ(tracker.unkilled_deletion_count(),
-                fresh.unkilled_deletion_count())
-          << when;
-      ASSERT_EQ(tracker.killed_preserved_weight(),
-                fresh.killed_preserved_weight())
-          << when;
-      ASSERT_EQ(tracker.deleted_count(), 0u) << when;
-      for (uint32_t w = 0; w < plan.witness_count(); ++w) {
-        ASSERT_EQ(tracker.witness_hits(w), 0u) << when << " witness " << w;
-      }
-      for (uint32_t d = 0; d < plan.tuple_count(); ++d) {
-        ASSERT_EQ(tracker.IsKilledDense(d), fresh.IsKilledDense(d))
-            << when << " tuple " << d;
-      }
-    };
-
-    // Sparse path: touch a handful of witnesses, well under the log caps.
-    tracker.Delete(c.s_rows[3]);
-    tracker.Delete(c.s_rows[7]);
-    tracker.Reset();
-    expect_pristine("sparse reset");
-
-    // Overflow path: hammer one base through delete/undelete cycles — every
-    // re-delete logs its witness transitions again, so the touch log
-    // overflows and Reset must fall back to the full clear.
-    for (int cycle = 0; cycle < 500; ++cycle) {
-      tracker.Delete(c.s_rows[0]);
-      tracker.Undelete(c.s_rows[0]);
+  FanInCase c = BuildFanIn(32);
+  DamageTracker tracker(*c.instance);
+  DamageTracker fresh(*c.instance);
+  auto expect_pristine = [&](const char* when) {
+    const CompiledInstance& plan = tracker.plan();
+    ASSERT_EQ(tracker.unkilled_deletion_count(),
+              fresh.unkilled_deletion_count())
+        << when;
+    ASSERT_EQ(tracker.killed_preserved_weight(),
+              fresh.killed_preserved_weight())
+        << when;
+    ASSERT_EQ(tracker.deleted_count(), 0u) << when;
+    for (uint32_t w = 0; w < plan.witness_count(); ++w) {
+      ASSERT_EQ(tracker.witness_hits(w), 0u) << when << " witness " << w;
     }
-    for (const TupleRef& s : c.s_rows) tracker.Delete(s);
-    tracker.Reset();
-    expect_pristine("overflow reset");
+    for (uint32_t d = 0; d < plan.tuple_count(); ++d) {
+      ASSERT_EQ(tracker.IsKilledDense(d), fresh.IsKilledDense(d))
+          << when << " tuple " << d;
+    }
+  };
 
-    // Back-to-back reset on an untouched tracker is a no-op.
-    tracker.Reset();
-    expect_pristine("idle reset");
+  // Sparse path: touch a handful of witnesses, well under the log caps.
+  tracker.Delete(c.s_rows[3]);
+  tracker.Delete(c.s_rows[7]);
+  tracker.Reset();
+  expect_pristine("sparse reset");
+
+  // Overflow path: hammer one base through delete/undelete cycles — every
+  // re-delete logs its witness transitions again, so the touch log
+  // overflows and Reset must fall back to the full clear.
+  for (int cycle = 0; cycle < 500; ++cycle) {
+    tracker.Delete(c.s_rows[0]);
+    tracker.Undelete(c.s_rows[0]);
   }
+  for (const TupleRef& s : c.s_rows) tracker.Delete(s);
+  tracker.Reset();
+  expect_pristine("overflow reset");
+
+  // Back-to-back reset on an untouched tracker is a no-op.
+  tracker.Reset();
+  expect_pristine("idle reset");
 }
 
 }  // namespace

@@ -14,8 +14,8 @@
 // saved repro/corpus files. Mutate mode drives random ApplyDelta scripts
 // against live instances and checks every step against a full rebuild (the
 // mutate-vs-rebuild oracle, see docs/incremental.md). Kernels mode runs only
-// the scalar-vs-bitset kernel-differential oracle, which makes wide seed
-// sweeps cheap (docs/perf.md "Bit-parallel kill kernels").
+// the tracker-vs-scratch oracle, which makes wide seed sweeps cheap
+// (docs/perf.md "Bit-parallel kill kernels").
 //
 // Exit status: 0 all oracles hold, 1 violations found, 2 usage or I/O error.
 #include <cstdio>
@@ -178,10 +178,9 @@ int RunIlpGaps(size_t iterations) {
   return bad > 0 ? 1 : 0;
 }
 
-/// --kernels: bounded scalar-vs-bitset sweep. Every seed's instance goes
-/// through the kernel-differential oracle only (tracker lockstep + solver
-/// solution identity under both kernel pins), so hundreds of seeds finish in
-/// seconds. Results are accumulated per seed slot and printed in seed order —
+/// --kernels: bounded kill-tracker sweep. Every seed's instance goes
+/// through the tracker-vs-scratch oracle only (a from-scratch recount plus
+/// probe-vs-mutation checks), so hundreds of seeds finish in seconds. Results are accumulated per seed slot and printed in seed order —
 /// the report is byte-identical at any --threads value.
 /// Exit status: 0 all seeds agree, 1 divergence found, 2 generation error.
 int RunKernels(uint64_t seed_start, size_t iterations,
