@@ -74,10 +74,13 @@ cmake --build build-bench --target bench_solver_comparison \
   --json BENCH_substrate_runtime.json \
   --benchmark_filter='BM_RbscGreedy|BM_DataForestBuild' \
   --benchmark_min_time=0.05
-# Batched-serving headline (naive vs engine on the scaling family); exits
-# nonzero if any mode's result fingerprint disagrees.
+# Batched-serving headline (naive vs engine on the scaling family and on the
+# repository benchmark's 45 927-tuple instance, where naive runs the first 64
+# requests), plus the report layer alone (EvaluateDeletion vs the reference
+# scan over the engine's outcomes); exits nonzero if any mode's result
+# fingerprint or the two report paths disagree.
 ./build-bench/bench/bench_engine_throughput --threads 4 --requests 1000 \
-  --family large --json BENCH_engine_throughput.json
+  --family large,level8 --json BENCH_engine_throughput.json
 # Live-data headline (per-delta ApplyDelta vs full rebuild on the scaling
 # family and on the repository benchmark's 45 927-tuple instance); exits
 # nonzero if the two arms' result fingerprints disagree.

@@ -35,9 +35,23 @@ struct SideEffectReport {
 
   /// |ΔD| — the source side-effect counterpart (Tables II/III).
   size_t source_deletion_count = 0;
+
+  /// Deterministic work counter of the evaluation that produced this report:
+  /// kill-row entries walked plus witness member slots read. It describes
+  /// the computation, not the deletion's effect, so report comparisons
+  /// leave it out.
+  size_t entries_examined = 0;
 };
 
-/// Evaluates the deletion against every view of the instance.
+/// Evaluates the deletion against every view of the instance. Only the
+/// deletion's neighbourhood is visited: the kill rows of the deleted bases
+/// and the ΔV tuples, each tested against its witnesses in ascending
+/// (view, tuple) order. Every other view tuple keeps a witness disjoint from
+/// ΔD and so is preserved and alive. The cost is O(|ΔD| log |bases| + the
+/// neighbourhood's kill-row entries and member slots + ‖V‖/64) — the last
+/// term zeroes and sweeps the candidate bitset — with the doubles summed in
+/// the same order as a scan of every view tuple
+/// (testing::ReferenceEvaluateDeletion, the reference it is checked against).
 SideEffectReport EvaluateDeletion(const VseInstance& instance,
                                   const DeletionSet& deletion);
 

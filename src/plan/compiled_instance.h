@@ -99,7 +99,9 @@ struct CoreDelta {
 /// an instance keeps the core and only rebuilds the overlay — O(‖V‖) instead
 /// of re-interning every witness — and `BuildFromCore` can additionally
 /// recycle the overlay buffers of a retired plan so batched serving
-/// (engine/batch_engine.h) allocates nothing in steady state.
+/// (engine/batch_engine.h) allocates no overlay buffer in steady state (the
+/// plan object itself is still new; docs/perf.md lists what a request
+/// allocates).
 ///
 /// Id spaces and their orderings are chosen so dense-id iteration reproduces
 /// the legacy tuple orderings byte for byte:

@@ -353,7 +353,6 @@ struct SolverOutcome {
 /// false. Budget exhaustion WITH an incumbent comes back ok with
 /// gap.optimal == false — callers needing a proven optimum must check it.
 SolverOutcome RunSolver(VseSolver& solver, const VseInstance& instance,
-                        const OracleOptions& options,
                         std::vector<OracleViolation>* out) {
   SolverOutcome outcome;
   Result<VseSolution> result = solver.Solve(instance);
@@ -367,22 +366,14 @@ SolverOutcome RunSolver(VseSolver& solver, const VseInstance& instance,
   outcome.ran = true;
   outcome.solution = std::move(*result);
 
-  // The report must be reproducible from the deletion set alone.
-  SideEffectReport recomputed =
-      EvaluateDeletion(instance, outcome.solution.deletion);
+  // The report must be reproducible from the deletion set alone, by the
+  // full reference scan, on every field and bitwise on the weights.
   const SideEffectReport& reported = outcome.solution.report;
-  if (recomputed.eliminates_all_deletions !=
-          reported.eliminates_all_deletions ||
-      std::abs(recomputed.side_effect_weight - reported.side_effect_weight) >
-          options.cost_epsilon ||
-      std::abs(recomputed.balanced_cost - reported.balanced_cost) >
-          options.cost_epsilon) {
-    out->push_back(
-        {"report-consistency:" + solver.name(),
-         "reported cost " + FormatCost(reported.side_effect_weight) +
-             " / balanced " + FormatCost(reported.balanced_cost) +
-             " vs recomputed " + FormatCost(recomputed.side_effect_weight) +
-             " / " + FormatCost(recomputed.balanced_cost)});
+  std::string diff = DiffSideEffectReports(
+      reported, ReferenceEvaluateDeletion(instance, outcome.solution.deletion));
+  if (!diff.empty()) {
+    out->push_back({"report-consistency:" + solver.name(),
+                    "reported vs reference scan: " + diff});
   }
   if (solver.objective() == Objective::kStandard &&
       !outcome.solution.Feasible()) {
@@ -428,7 +419,7 @@ std::vector<OracleViolation> CheckOracles(const VseInstance& instance,
   std::vector<SolverOutcome> outcomes;
   outcomes.reserve(approximations.size());
   for (const auto& solver : approximations) {
-    outcomes.push_back(RunSolver(*solver, instance, options, &violations));
+    outcomes.push_back(RunSolver(*solver, instance, &violations));
   }
 
   // Exact-optimum-based oracles, gated on instance size.
@@ -436,7 +427,7 @@ std::vector<OracleViolation> CheckOracles(const VseInstance& instance,
     return violations;
   }
   ExactSolver exact(options.exact_node_budget);
-  SolverOutcome optimal = RunSolver(exact, instance, options, &violations);
+  SolverOutcome optimal = RunSolver(exact, instance, &violations);
   // Budget exhaustion now returns the incumbent with gap.optimal == false;
   // only a proven optimum may anchor the OPT-based oracles.
   const bool have_opt = optimal.ran && optimal.solution.gap.optimal;
@@ -446,7 +437,7 @@ std::vector<OracleViolation> CheckOracles(const VseInstance& instance,
   IlpOptions ilp_options;
   ilp_options.node_budget = options.exact_node_budget;
   IlpSolver ilp_solver(Objective::kStandard, ilp_options);
-  SolverOutcome ilp = RunSolver(ilp_solver, instance, options, &violations);
+  SolverOutcome ilp = RunSolver(ilp_solver, instance, &violations);
   if (ilp.ran) {
     const OptimalityGap& gap = ilp.solution.gap;
     // The certificate itself must be coherent before anything leans on it.
@@ -579,13 +570,12 @@ std::vector<OracleViolation> CheckOracles(const VseInstance& instance,
   // Balanced objective: Algorithm 4's balanced variant must match the exact
   // balanced optimum, and the pnpsc heuristic must not beat it.
   ExactBalancedSolver exact_balanced(options.exact_node_budget);
-  SolverOutcome balanced_opt =
-      RunSolver(exact_balanced, instance, options, &violations);
+  SolverOutcome balanced_opt = RunSolver(exact_balanced, instance, &violations);
   const bool have_balanced_opt =
       balanced_opt.ran && balanced_opt.solution.gap.optimal;
   IlpSolver ilp_balanced_solver(Objective::kBalanced, ilp_options);
   SolverOutcome ilp_balanced =
-      RunSolver(ilp_balanced_solver, instance, options, &violations);
+      RunSolver(ilp_balanced_solver, instance, &violations);
   if (ilp_balanced.ran) {
     const OptimalityGap& gap = ilp_balanced.solution.gap;
     double cost = ilp_balanced.solution.BalancedCost();
@@ -614,7 +604,7 @@ std::vector<OracleViolation> CheckOracles(const VseInstance& instance,
   if (have_balanced_opt) {
     double opt = balanced_opt.solution.BalancedCost();
     std::unique_ptr<VseSolver> dp_balanced = MakeSolver("dp-tree-balanced");
-    SolverOutcome dp = RunSolver(*dp_balanced, instance, options, &violations);
+    SolverOutcome dp = RunSolver(*dp_balanced, instance, &violations);
     if (dp.ran &&
         std::abs(dp.solution.BalancedCost() - opt) > options.cost_epsilon) {
       violations.push_back(
@@ -624,8 +614,7 @@ std::vector<OracleViolation> CheckOracles(const VseInstance& instance,
                " != exact balanced optimum " + FormatCost(opt)});
     }
     std::unique_ptr<VseSolver> pnpsc = MakeSolver("balanced-pnpsc");
-    SolverOutcome heuristic =
-        RunSolver(*pnpsc, instance, options, &violations);
+    SolverOutcome heuristic = RunSolver(*pnpsc, instance, &violations);
     if (heuristic.ran &&
         heuristic.solution.BalancedCost() < opt - options.cost_epsilon) {
       violations.push_back(

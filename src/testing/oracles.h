@@ -63,15 +63,17 @@ std::vector<std::string> OracleNames();
 ///    byte-identical to the same algorithm replayed with DeletionSet +
 ///    lineage recomputation and no dense ids;
 ///  * tracker-vs-scratch — a DamageTracker driven through a deterministic
-///    op script agrees with a from-scratch recount and EvaluateDeletion at
+///    op script agrees with a from-scratch recount and the reference scan at
 ///    every phase, and each read-only probe equals, bitwise, a real
 ///    mutation of the same tracker (CheckKernelOracle);
 ///  * solver-error:<s> — a solver failed with an unexpected status code
 ///    (FailedPrecondition refusals and budget exhaustion are expected);
 ///  * feasible:<s> — a standard-objective solution does not eliminate ΔV
 ///    (these instances are always feasible: every candidate is deletable);
-///  * report-consistency:<s> — a solution's report disagrees with
-///    EvaluateDeletion re-run on its deletion set;
+///  * report-consistency:<s> — a solution's report differs from
+///    ReferenceEvaluateDeletion (the full scan in reference_eval.h) re-run
+///    on its deletion set, on any field but the work counter, with the
+///    weights compared bitwise;
 ///  * cost-vs-exact:<s> — an approximation beat the exact optimum;
 ///  * dp-tree-exact / dp-tree-balanced-exact — Algorithm 4 must match the
 ///    exact solver on pivot forests, for both objectives;
@@ -87,10 +89,11 @@ std::vector<OracleViolation> CheckOracles(const VseInstance& instance,
 /// through a deterministic op script (delete sweep, mixed undeletes, reset,
 /// exchange probes). At each phase every per-witness and per-tuple
 /// observation is compared with a recount from the plan's member rows, the
-/// killed and surviving sets with EvaluateDeletion (aggregate weights
-/// within 1e-9 relative, as its summation order differs), the branch pick
-/// with the literal nested scan, and MarginalDamageBase, KpwAfterDeleteBase,
-/// CanDropBase and SwapWouldImprove with a real delete → read → undelete
+/// killed and surviving sets with ReferenceEvaluateDeletion (aggregate
+/// weights within 1e-9 relative, as its summation order differs), the branch
+/// pick with the literal nested scan, and MarginalDamageBase,
+/// KpwAfterDeleteBase, CanDropBase and SwapWouldImprove with a real
+/// delete → read → undelete
 /// (== on doubles). Backs the fast `delprop_fuzz --kernels` sweep (tier-1
 /// `kernel_smoke`), which covers many seeds without paying for the
 /// exponential oracles.
@@ -98,7 +101,7 @@ std::vector<OracleViolation> CheckKernelOracle(const VseInstance& instance);
 
 /// The recount half of that oracle at the tracker's current state: returns
 /// the first disagreement between `tracker` and a from-scratch recount of
-/// its deletion (or EvaluateDeletion), or "" when they agree. Non-const
+/// its deletion (or the reference scan), or "" when they agree. Non-const
 /// only because the branch pick builds its index lazily.
 std::string DiffTrackerAgainstScratch(const VseInstance& instance,
                                       DamageTracker& tracker);

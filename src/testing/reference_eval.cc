@@ -1,7 +1,11 @@
 #include "testing/reference_eval.h"
 
+#include <bit>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
+
+#include "plan/compiled_instance.h"
 
 namespace delprop {
 namespace testing {
@@ -182,6 +186,124 @@ void ReferenceDeltaMatches(const Database& database,
       scan.Assign(0);
     }
   }
+}
+
+SideEffectReport ReferenceEvaluateDeletion(const VseInstance& instance,
+                                           const DeletionSet& deletion) {
+  SideEffectReport report;
+  report.source_deletion_count = deletion.size();
+  report.per_view_side_effect.assign(instance.view_count(), 0);
+
+  std::shared_ptr<const CompiledInstance> plan = instance.compiled();
+  std::vector<char> deleted(plan->base_count(), 0);
+  for (const TupleRef& ref : deletion) {
+    uint32_t base = plan->FindBase(ref);
+    if (base != CompiledInstance::kNpos) deleted[base] = 1;
+  }
+
+  for (size_t v = 0; v < instance.view_count(); ++v) {
+    const size_t view_size = instance.view(v).size();
+    for (size_t t = 0; t < view_size; ++t) {
+      ViewTupleId id{v, t};
+      uint32_t dense = plan->DenseOf(id);
+      // Survives iff some witness is disjoint from ΔD.
+      bool survives = false;
+      uint32_t wend = plan->tuple_witness_end(dense);
+      for (uint32_t w = plan->tuple_witness_begin(dense); w < wend; ++w) {
+        bool hit = false;
+        uint32_t mend = plan->member_end(w);
+        for (uint32_t slot = plan->member_begin(w); slot < mend; ++slot) {
+          if (deleted[plan->member_base(slot)]) {
+            hit = true;
+            break;
+          }
+        }
+        if (!hit) {
+          survives = true;
+          break;
+        }
+      }
+      if (plan->is_deletion(dense)) {
+        if (survives) {
+          report.surviving_deletions.push_back(id);
+          report.balanced_cost += plan->weight(dense);
+        }
+      } else if (!survives) {
+        report.killed_preserved.push_back(id);
+        report.side_effect_count += 1;
+        report.side_effect_weight += plan->weight(dense);
+        report.balanced_cost += plan->weight(dense);
+        report.per_view_side_effect[v] += 1;
+      }
+    }
+  }
+  report.eliminates_all_deletions = report.surviving_deletions.empty();
+  return report;
+}
+
+namespace {
+
+std::string DescribeDouble(double value) {
+  char buffer[64];
+  std::snprintf(buffer, sizeof(buffer), "%.17g (%016llx)", value,
+                static_cast<unsigned long long>(
+                    std::bit_cast<uint64_t>(value)));
+  return buffer;
+}
+
+std::string DescribeIds(const std::vector<ViewTupleId>& ids) {
+  std::string out = std::to_string(ids.size()) + " id(s)";
+  for (size_t i = 0; i < ids.size() && i < 4; ++i) {
+    out += (i == 0 ? " [" : ", ") + std::to_string(ids[i].view) + ":" +
+           std::to_string(ids[i].tuple);
+  }
+  if (!ids.empty()) out += ids.size() > 4 ? ", ...]" : "]";
+  return out;
+}
+
+}  // namespace
+
+std::string DiffSideEffectReports(const SideEffectReport& got,
+                                  const SideEffectReport& want) {
+  auto same_double = [](double a, double b) {
+    return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+  };
+  if (got.eliminates_all_deletions != want.eliminates_all_deletions) {
+    return std::string("eliminates_all_deletions ") +
+           (got.eliminates_all_deletions ? "true" : "false") + " vs " +
+           (want.eliminates_all_deletions ? "true" : "false");
+  }
+  if (got.killed_preserved != want.killed_preserved) {
+    return "killed_preserved " + DescribeIds(got.killed_preserved) + " vs " +
+           DescribeIds(want.killed_preserved);
+  }
+  if (got.surviving_deletions != want.surviving_deletions) {
+    return "surviving_deletions " + DescribeIds(got.surviving_deletions) +
+           " vs " + DescribeIds(want.surviving_deletions);
+  }
+  if (got.side_effect_count != want.side_effect_count) {
+    return "side_effect_count " + std::to_string(got.side_effect_count) +
+           " vs " + std::to_string(want.side_effect_count);
+  }
+  if (!same_double(got.side_effect_weight, want.side_effect_weight)) {
+    return "side_effect_weight " + DescribeDouble(got.side_effect_weight) +
+           " vs " + DescribeDouble(want.side_effect_weight);
+  }
+  if (got.per_view_side_effect != want.per_view_side_effect) {
+    return "per_view_side_effect differs over " +
+           std::to_string(got.per_view_side_effect.size()) + " vs " +
+           std::to_string(want.per_view_side_effect.size()) + " view(s)";
+  }
+  if (!same_double(got.balanced_cost, want.balanced_cost)) {
+    return "balanced_cost " + DescribeDouble(got.balanced_cost) + " vs " +
+           DescribeDouble(want.balanced_cost);
+  }
+  if (got.source_deletion_count != want.source_deletion_count) {
+    return "source_deletion_count " +
+           std::to_string(got.source_deletion_count) + " vs " +
+           std::to_string(want.source_deletion_count);
+  }
+  return "";
 }
 
 }  // namespace testing

@@ -3,9 +3,12 @@
 
 #include <map>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "dp/side_effect.h"
+#include "dp/vse_instance.h"
 #include "query/evaluator.h"
 #include "query/view.h"
 #include "relational/database.h"
@@ -53,6 +56,22 @@ void ReferenceDeltaMatches(const Database& database,
                            const DeletionSet& mask,
                            const std::vector<uint32_t>& first_new_row,
                            std::vector<std::pair<Tuple, Witness>>* out);
+
+/// Reference for EvaluateDeletion (dp/side_effect.h): the full scan it
+/// replaced. Visits every view tuple in ascending (view, tuple) order and
+/// tests each witness's raw member row against a per-base mark array, so
+/// it costs O(‖V‖ · members + bases) per call whatever the deletion. Use
+/// only to check the neighbourhood walk; `entries_examined` stays 0.
+SideEffectReport ReferenceEvaluateDeletion(const VseInstance& instance,
+                                           const DeletionSet& deletion);
+
+/// The first field on which `got` and `want` differ, or "" when they agree
+/// on every field that describes the deletion's effect: the flags, counts,
+/// id lists and per-view breakdown exactly, and the weights bitwise (so a
+/// changed addition order shows). `entries_examined` is a work counter of
+/// the evaluation, not part of the effect, and is not compared.
+std::string DiffSideEffectReports(const SideEffectReport& got,
+                                  const SideEffectReport& want);
 
 }  // namespace testing
 }  // namespace delprop

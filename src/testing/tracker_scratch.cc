@@ -12,6 +12,7 @@
 #include "plan/compiled_instance.h"
 #include "solvers/damage_tracker.h"
 #include "testing/oracles.h"
+#include "testing/reference_eval.h"
 
 namespace delprop {
 namespace testing {
@@ -199,10 +200,10 @@ std::string DiffTrackerAgainstScratch(const VseInstance& instance,
            ", nested scan " + std::to_string(ScanBranchWitness(plan, rc));
   }
 
-  // The view-level truth: killed and surviving sets as the instance API
-  // evaluates the same deletion.
+  // The view-level truth: killed and surviving sets as the full reference
+  // scan evaluates the same deletion (independent of the production report).
   SideEffectReport report =
-      EvaluateDeletion(instance, tracker.CurrentDeletion());
+      ReferenceEvaluateDeletion(instance, tracker.CurrentDeletion());
   std::vector<uint32_t> killed_preserved;
   for (const ViewTupleId& id : report.killed_preserved) {
     killed_preserved.push_back(plan.DenseOf(id));
@@ -218,16 +219,16 @@ std::string DiffTrackerAgainstScratch(const VseInstance& instance,
     if (rc.killed[t] && !plan.is_deletion(t)) killed_preserved_rc.push_back(t);
   }
   if (killed_preserved != killed_preserved_rc) {
-    return "EvaluateDeletion kills " + std::to_string(killed_preserved.size()) +
+    return "reference scan kills " + std::to_string(killed_preserved.size()) +
            " preserved tuple(s), recount " +
            std::to_string(killed_preserved_rc.size());
   }
   if (surviving != unkilled_deletions) {
-    return "EvaluateDeletion leaves " + std::to_string(surviving.size()) +
+    return "reference scan leaves " + std::to_string(surviving.size()) +
            " ΔV tuple(s), recount " +
            std::to_string(unkilled_deletions.size());
   }
-  // Aggregates: EvaluateDeletion sums in its own order, hence the slack.
+  // Aggregates: the scan sums in its own order, hence the slack.
   if (!NearlyEqual(tracker.killed_preserved_weight(),
                    report.side_effect_weight) ||
       !NearlyEqual(tracker.killed_preserved_weight() +
@@ -237,7 +238,7 @@ std::string DiffTrackerAgainstScratch(const VseInstance& instance,
            FormatCost(tracker.killed_preserved_weight()) +
            " + surviving ΔV weight " +
            FormatCost(tracker.surviving_deletion_weight()) +
-           ", EvaluateDeletion " + FormatCost(report.side_effect_weight) +
+           ", reference scan " + FormatCost(report.side_effect_weight) +
            " / balanced " + FormatCost(report.balanced_cost);
   }
   return "";
